@@ -170,6 +170,13 @@ func computable(op isa.Opcode) bool {
 		op != isa.OpNOP && op != isa.OpPAND && op != isa.OpPNOT
 }
 
+// Quiescent reports whether IdleCycle would do nothing: no instruction
+// waits in the RF stage, and the ReplayQ is empty or idle draining is
+// off. The simulator lets a quiescent SM with no issuable warp sleep.
+func (e *Engine) Quiescent() bool {
+	return !e.hasPending && (len(e.q) == 0 || !e.cfg.IdleDrain)
+}
+
 // IdleCycle informs the engine that the SM issued nothing at cycle now.
 // All execution units are idle: the pending instruction (if any) is
 // verified for free, and every unit class may drain one ReplayQ entry.

@@ -167,6 +167,9 @@ func ForDMR(r *Registry, warpSize, clusterSize int) *DMR {
 		DetectionLatency: r.Histogram("dmr.detection_latency_cycles", LatencyCycleBounds),
 		Detections:       r.Counter("dmr.detections_total"),
 	}
+	if r == nil {
+		return m // all-nil slices: skip formatting names nothing registers
+	}
 	for i := range m.ClusterPairings {
 		m.ClusterPairings[i] = r.Counter(fmt.Sprintf("dmr.rfu.cluster.%02d.pairings_total", i))
 	}
