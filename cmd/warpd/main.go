@@ -17,8 +17,8 @@
 // flush, then the process exits. See docs/SERVICE.md for the API
 // reference.
 //
-// With -coordinator, warpd instead runs as a cluster coordinator: it
-// serves the same job API but executes nothing itself, consistent-
+// With -coordinator, warpd instead runs as a cluster coordinator: the
+// same job front end, executing nothing itself but consistent-
 // hashing each job across the given pool of warpd workers with
 // cluster-wide coalescing, hedged retries, and worker health
 // tracking. See docs/CLUSTER.md.

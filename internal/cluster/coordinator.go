@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -19,9 +16,20 @@ import (
 	"warped/internal/store"
 )
 
-// ErrNoWorkers is returned by Submit when every configured worker is
-// off the ring and the job is not already answerable from the store.
+// ErrNoWorkers refuses a fresh submission when every configured worker
+// is off the ring; a job a cache tier holds is still answered.
 var ErrNoWorkers = errors.New("cluster: no healthy workers")
+
+const (
+	// maxCompleted bounds the finished jobs the coordinator retains in
+	// memory. Evicted successes remain answerable through the Store.
+	maxCompleted = 4096
+
+	// requestTimeout bounds each individual HTTP exchange with a
+	// worker. It caps how long a hung worker can stall a dispatch or a
+	// probe, without capping total job wall time.
+	requestTimeout = 10 * time.Second
+)
 
 // Options configures a Coordinator.
 type Options struct {
@@ -54,69 +62,44 @@ type Options struct {
 	// drive ring ejection and readmission (default 2s).
 	ProbeInterval time.Duration
 
-	// RequestTimeout bounds each individual HTTP exchange with a
-	// worker (default 10s). It caps how long a hung worker can stall a
-	// dispatch or a probe, without capping total job wall time.
-	RequestTimeout time.Duration
-
 	// HTTPClient, when non-nil, carries every worker exchange so the
 	// whole pool shares one transport. Defaults to a fresh client.
 	HTTPClient *http.Client
-
-	// MaxCompleted bounds the in-memory map of finished jobs (default
-	// 4096). Evicted successes remain answerable through the Store.
-	MaxCompleted int
 }
 
 // Coordinator shards content-addressed jobs across a pool of warpd
-// workers. It speaks the daemon's own HTTP protocol on both sides:
-// callers use the warped/client package (or raw HTTP) against it
-// unchanged, and it dispatches to workers the same way. Placement is
-// consistent-hashed on the job's canonical spec hash; identical
-// submissions coalesce cluster-wide onto one dispatch and share one
-// durable store entry.
+// workers. It is warpd's own job front end (service.Server) over a
+// ring executor, so callers use the warped/client package (or raw
+// HTTP) against it unchanged, and it dispatches to workers the same
+// way. Placement is consistent-hashed on the job's canonical spec
+// hash; identical submissions coalesce cluster-wide onto one dispatch
+// and share one durable store entry.
 type Coordinator struct {
+	front *service.Server
+	d     *dispatcher
+	store *store.Store
+}
+
+// dispatcher is the coordinator's service.Executor: it runs each
+// admitted job on the job's ring node, re-dispatching and hedging
+// along the ring's successor list, and keeps the ring in step with
+// worker health.
+type dispatcher struct {
+	running sync.WaitGroup // dispatches in progress; first for 64-bit alignment
+
 	workers   []string // sorted, normalized
 	workerIdx map[string]int
 	clients   map[string]*client.Client
 	ring      *Ring
-	vnodes    int
-	store     *store.Store
-	reg       *metrics.Registry
 	met       *metrics.Cluster
+	hedge     time.Duration // Options.HedgeAfter
 
-	hedgeAfter    time.Duration
-	probeInterval time.Duration
-
-	mu        sync.Mutex
-	healthy   map[string]bool
-	flights   map[string]*flight
-	completed map[string]*completedEntry
-	order     *list.List // completedEntry LRU, front = most recent
-	maxDone   int
-	draining  bool
+	mu sync.Mutex // serializes ring membership changes (setHealth)
 
 	dispatchCtx    context.Context
 	dispatchCancel context.CancelFunc
 	probeCancel    context.CancelFunc
 	probeDone      chan struct{}
-}
-
-// flight is one in-flight dispatch; concurrent identical submissions
-// coalesce onto it.
-type flight struct {
-	id   string
-	hash string
-	done chan struct{}
-}
-
-// completedEntry is a finished job: res on success, errMsg on failure.
-type completedEntry struct {
-	id     string
-	hash   string
-	res    *service.JobResult
-	errMsg string
-	elem   *list.Element
 }
 
 // New builds a coordinator and starts its worker health prober. Stop
@@ -134,10 +117,6 @@ func New(opts Options) *Coordinator {
 	}
 	sort.Strings(workers)
 
-	reqTimeout := opts.RequestTimeout
-	if reqTimeout <= 0 {
-		reqTimeout = 10 * time.Second
-	}
 	hc := opts.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
@@ -146,236 +125,152 @@ func New(opts Options) *Coordinator {
 	if probeInterval <= 0 {
 		probeInterval = 2 * time.Second
 	}
-	maxDone := opts.MaxCompleted
-	if maxDone <= 0 {
-		maxDone = 4096
-	}
 
-	co := &Coordinator{
-		workers:       workers,
-		workerIdx:     make(map[string]int, len(workers)),
-		clients:       make(map[string]*client.Client, len(workers)),
-		ring:          NewRing(opts.VNodes),
-		vnodes:        opts.VNodes,
-		store:         opts.Store,
-		reg:           opts.Metrics,
-		met:           metrics.ForCluster(opts.Metrics, len(workers)),
-		hedgeAfter:    opts.HedgeAfter,
-		probeInterval: probeInterval,
-		healthy:       make(map[string]bool, len(workers)),
-		flights:       make(map[string]*flight),
-		completed:     make(map[string]*completedEntry),
-		order:         list.New(),
-		maxDone:       maxDone,
-		probeDone:     make(chan struct{}),
-	}
-	if co.vnodes <= 0 {
-		co.vnodes = DefaultVNodes
+	d := &dispatcher{
+		workers:   workers,
+		workerIdx: make(map[string]int, len(workers)),
+		clients:   make(map[string]*client.Client, len(workers)),
+		ring:      NewRing(opts.VNodes),
+		met:       metrics.ForCluster(opts.Metrics, len(workers)),
+		hedge:     opts.HedgeAfter,
+		probeDone: make(chan struct{}),
 	}
 	for i, w := range workers {
-		co.workerIdx[w] = i
+		d.workerIdx[w] = i
 		c := client.NewWithHTTPClient(w, hc)
-		c.RequestTimeout = reqTimeout
+		c.RequestTimeout = requestTimeout
 		c.MaxRetries = 2
 		c.Backoff = 50 * time.Millisecond
 		c.PollInterval = 25 * time.Millisecond
-		co.clients[w] = c
+		d.clients[w] = c
 		// Workers start on the ring optimistically; the prober (and any
 		// failed dispatch) ejects the ones that turn out to be down.
-		co.healthy[w] = true
-		co.ring.Add(w)
+		d.ring.Add(w)
 	}
-	co.met.RingNodes.Set(int64(co.ring.Len()))
+	d.met.RingNodes.Set(int64(d.ring.Len()))
 
-	co.dispatchCtx, co.dispatchCancel = context.WithCancel(context.Background())
+	d.dispatchCtx, d.dispatchCancel = context.WithCancel(context.Background())
 	probeCtx, probeCancel := context.WithCancel(context.Background())
-	co.probeCancel = probeCancel
-	go co.probeLoop(probeCtx)
-	return co
-}
-
-// Workers returns the configured worker URLs, sorted.
-func (co *Coordinator) Workers() []string {
-	out := make([]string, len(co.workers))
-	copy(out, co.workers)
-	return out
+	d.probeCancel = probeCancel
+	go d.probeLoop(probeCtx, probeInterval)
+	return &Coordinator{
+		front: service.NewFrontEnd(d, maxCompleted, opts.Store, opts.Metrics, &d.met.FrontEnd),
+		d:     d,
+		store: opts.Store,
+	}
 }
 
 // Healthy reports whether worker w is currently on the ring.
-func (co *Coordinator) Healthy(w string) bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.healthy[strings.TrimRight(w, "/")]
+func (co *Coordinator) Healthy(w string) bool { return co.d.ring.Has(strings.TrimRight(w, "/")) }
+
+// Drain stops admitting new work (a cache or store hit is still
+// answered), halts the prober, and waits for every in-flight dispatch
+// to settle or ctx to fire, whichever comes first. The coordinator
+// cannot dispatch afterwards.
+func (co *Coordinator) Drain(ctx context.Context) error { return co.front.Drain(ctx) }
+
+// Start dispatches an admitted job to its ring node; ErrNoWorkers when
+// the ring is empty.
+func (d *dispatcher) Start(j *service.Job) error {
+	if d.ring.Len() == 0 {
+		return ErrNoWorkers
+	}
+	d.running.Add(1)
+	go func() {
+		defer d.running.Done()
+		d.dispatch(j)
+	}()
+	return nil
 }
 
-// Draining reports whether Drain has begun.
-func (co *Coordinator) Draining() bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.draining
+// Drain halts the prober and waits for every dispatch to settle, or
+// ctx to fire; then it cancels whatever is still talking to a worker.
+func (d *dispatcher) Drain(ctx context.Context) error {
+	d.probeCancel()
+	<-d.probeDone
+	defer d.dispatchCancel()
+	idle := make(chan struct{})
+	go func() {
+		d.running.Wait()
+		close(idle)
+	}()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
-// Drain stops admitting jobs, halts the prober, and waits for every
-// in-flight dispatch to settle or ctx to fire, whichever comes first.
-// The coordinator is unusable afterwards.
-func (co *Coordinator) Drain(ctx context.Context) error {
-	co.mu.Lock()
-	co.draining = true
-	co.mu.Unlock()
-	co.probeCancel()
-	<-co.probeDone
-	defer co.dispatchCancel()
-	for {
-		co.mu.Lock()
-		n := len(co.flights)
-		co.mu.Unlock()
-		if n == 0 {
-			return nil
+// dispatch drives one job to completion: submit to the job's ring
+// node, walk the successor list on retriable failures, and (when
+// configured) hedge with a concurrent dispatch if the primary is slow.
+// First success wins; a non-retriable failure (spec rejection,
+// worker-reported job failure) settles the job immediately.
+func (d *dispatcher) dispatch(j *service.Job) {
+	j.Running()
+	ctx := d.dispatchCtx
+	candidates := d.ring.Successors(j.Hash, 0) // every healthy worker, ring order
+	outcomes := make(chan attemptOutcome, len(candidates))
+	inflight, next := 0, 0
+	launch := func() bool {
+		if next >= len(candidates) {
+			return false
 		}
-		if err := sleepCtx(ctx, 10*time.Millisecond); err != nil {
-			return err
+		w := candidates[next]
+		next++
+		inflight++
+		d.met.Dispatches.Inc()
+		if i, ok := d.workerIdx[w]; ok {
+			d.met.WorkerDispatches[i].Inc()
 		}
-	}
-}
-
-// Submit admits one job by content address: a known result (memory or
-// store) is a cache hit, an in-flight identical job coalesces, a fresh
-// job is dispatched to its ring node. A previously failed identical
-// job is retried, not replayed.
-func (co *Coordinator) Submit(spec *service.JobSpec) (*service.SubmitResponse, error) {
-	hash, id, err := service.SpecKey(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	co.mu.Lock()
-	if co.draining {
-		co.mu.Unlock()
-		return nil, service.ErrDraining
-	}
-	co.met.JobsSubmitted.Inc()
-	if resp, ok := co.admitLocked(id); ok {
-		co.mu.Unlock()
-		return resp, nil
-	}
-	co.mu.Unlock()
-
-	// Durable tier, consulted off-lock: disk reads must not serialize
-	// the submit path.
-	if res := co.storeGet(hash); res != nil {
-		co.mu.Lock()
-		if resp, ok := co.admitLocked(id); ok { // lost a race to an identical submit
-			co.mu.Unlock()
-			return resp, nil
-		}
-		co.rememberLocked(&completedEntry{id: id, hash: hash, res: res})
-		co.met.StoreHits.Inc()
-		co.mu.Unlock()
-		return &service.SubmitResponse{ID: id, Status: "done", Cached: true}, nil
-	}
-
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if resp, ok := co.admitLocked(id); ok {
-		return resp, nil
-	}
-	if co.ring.Len() == 0 {
-		return nil, ErrNoWorkers
-	}
-	fl := &flight{id: id, hash: hash, done: make(chan struct{})}
-	co.flights[id] = fl
-	go co.dispatch(fl, spec)
-	return &service.SubmitResponse{ID: id, Status: "queued"}, nil
-}
-
-// admitLocked answers a submission from coordinator memory when it
-// can: a completed success is a cache hit, an in-flight dispatch
-// coalesces, and a completed failure is forgotten so the caller's
-// submission retries it. Caller holds co.mu.
-func (co *Coordinator) admitLocked(id string) (*service.SubmitResponse, bool) {
-	if e, ok := co.completed[id]; ok {
-		if e.res != nil {
-			co.order.MoveToFront(e.elem)
-			co.met.MemHits.Inc()
-			return &service.SubmitResponse{ID: id, Status: "done", Cached: true}, true
-		}
-		co.forgetLocked(e)
-	}
-	if _, ok := co.flights[id]; ok {
-		co.met.Coalesced.Inc()
-		return &service.SubmitResponse{ID: id, Status: "running"}, true
-	}
-	return nil, false
-}
-
-// Status reports a job's lifecycle state; ok is false for unknown IDs.
-func (co *Coordinator) Status(id string) (*service.StatusResponse, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if _, ok := co.flights[id]; ok {
-		return &service.StatusResponse{ID: id, Status: "running"}, true
-	}
-	if e, ok := co.completed[id]; ok {
-		if e.res != nil {
-			return &service.StatusResponse{ID: id, Status: "done"}, true
-		}
-		return &service.StatusResponse{ID: id, Status: "failed", Error: e.errMsg}, true
-	}
-	return nil, false
-}
-
-// Result returns a finished job's result. ok is false for unknown
-// IDs; a known job that is still running or failed returns (nil, true)
-// — distinguish via Status.
-func (co *Coordinator) Result(id string) (*service.ResultResponse, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if _, ok := co.flights[id]; ok {
-		return nil, true
-	}
-	e, ok := co.completed[id]
-	if !ok {
-		return nil, false
-	}
-	if e.res == nil {
-		return nil, true
-	}
-	return &service.ResultResponse{ID: id, Stats: e.res.Stats, Attempts: e.res.Attempts,
-		Recovered: e.res.Recovered, Detections: e.res.Detections}, true
-}
-
-// Wait blocks until job id finishes; false for unknown IDs.
-func (co *Coordinator) Wait(id string) bool {
-	co.mu.Lock()
-	fl, inFlight := co.flights[id]
-	_, done := co.completed[id]
-	co.mu.Unlock()
-	if inFlight {
-		<-fl.done
+		go func() { outcomes <- d.attempt(ctx, w, j.Spec) }()
 		return true
 	}
-	return done
-}
-
-// rememberLocked records a finished job in the bounded in-memory map.
-// Caller holds co.mu.
-func (co *Coordinator) rememberLocked(e *completedEntry) {
-	if old, ok := co.completed[e.id]; ok {
-		co.forgetLocked(old)
+	if !launch() {
+		j.Finish(nil, ErrNoWorkers)
+		return
 	}
-	e.elem = co.order.PushFront(e)
-	co.completed[e.id] = e
-	for co.order.Len() > co.maxDone {
-		oldest := co.order.Back()
-		co.forgetLocked(oldest.Value.(*completedEntry))
-	}
-}
 
-func (co *Coordinator) forgetLocked(e *completedEntry) {
-	delete(co.completed, e.id)
-	if e.elem != nil {
-		co.order.Remove(e.elem)
-		e.elem = nil
+	var hedge <-chan time.Time
+	if d.hedge > 0 {
+		t := time.NewTimer(d.hedge)
+		defer t.Stop()
+		hedge = t.C
+	}
+	var lastErr error
+	for inflight > 0 {
+		select {
+		case <-ctx.Done():
+			j.Finish(nil, errors.New("cluster: coordinator shut down mid-dispatch"))
+			return
+		case <-hedge:
+			hedge = nil
+			if launch() {
+				d.met.HedgesFired.Inc()
+			}
+		case o := <-outcomes:
+			inflight--
+			if o.err == nil {
+				j.Finish(o.res, nil)
+				return
+			}
+			lastErr = o.err
+			if o.transport {
+				d.setHealth(o.worker, false)
+			}
+			if !o.retriable {
+				j.Finish(nil, o.err)
+				return
+			}
+			if launch() {
+				d.met.Redispatches.Inc()
+			} else if inflight == 0 {
+				j.Finish(nil, fmt.Errorf("cluster: all %d candidate workers failed, last: %v",
+					len(candidates), lastErr))
+				return
+			}
+		}
 	}
 }
 
@@ -388,80 +283,9 @@ type attemptOutcome struct {
 	transport bool // the worker did not answer at all: eject it
 }
 
-// dispatch drives one flight to completion: submit to the job's ring
-// node, walk the successor list on retriable failures, and (when
-// configured) hedge with a concurrent dispatch if the primary is slow.
-// First success wins; a non-retriable failure (spec rejection,
-// worker-reported job failure) settles the flight immediately.
-func (co *Coordinator) dispatch(fl *flight, spec *service.JobSpec) {
-	ctx := co.dispatchCtx
-	candidates := co.ring.Successors(fl.hash, 0) // every healthy worker, ring order
-	outcomes := make(chan attemptOutcome, len(candidates))
-	inflight, next := 0, 0
-	launch := func() bool {
-		if next >= len(candidates) {
-			return false
-		}
-		w := candidates[next]
-		next++
-		inflight++
-		co.met.Dispatches.Inc()
-		if i, ok := co.workerIdx[w]; ok {
-			co.met.WorkerDispatches[i].Inc()
-		}
-		go func() { outcomes <- co.attempt(ctx, w, spec) }()
-		return true
-	}
-	if !launch() {
-		co.finish(fl, nil, ErrNoWorkers.Error())
-		return
-	}
-
-	var hedge <-chan time.Time
-	if co.hedgeAfter > 0 {
-		t := time.NewTimer(co.hedgeAfter)
-		defer t.Stop()
-		hedge = t.C
-	}
-	var lastErr error
-	for inflight > 0 {
-		select {
-		case <-ctx.Done():
-			co.finish(fl, nil, "cluster: coordinator shut down mid-dispatch")
-			return
-		case <-hedge:
-			hedge = nil
-			if launch() {
-				co.met.HedgesFired.Inc()
-			}
-		case o := <-outcomes:
-			inflight--
-			if o.err == nil {
-				co.finish(fl, o.res, "")
-				return
-			}
-			lastErr = o.err
-			if o.transport {
-				co.setHealth(o.worker, false)
-			}
-			if !o.retriable {
-				co.finish(fl, nil, o.err.Error())
-				return
-			}
-			if launch() {
-				co.met.Redispatches.Inc()
-			} else if inflight == 0 {
-				co.finish(fl, nil, fmt.Sprintf("cluster: all %d candidate workers failed, last: %v",
-					len(candidates), lastErr))
-				return
-			}
-		}
-	}
-}
-
 // attempt runs spec to completion on one worker.
-func (co *Coordinator) attempt(ctx context.Context, worker string, spec *service.JobSpec) attemptOutcome {
-	c := co.clients[worker]
+func (d *dispatcher) attempt(ctx context.Context, worker string, spec *service.JobSpec) attemptOutcome {
+	c := d.clients[worker]
 	resp, err := c.Submit(ctx, spec)
 	if err != nil {
 		return classify(worker, err)
@@ -501,77 +325,32 @@ func classify(worker string, err error) attemptOutcome {
 	return out
 }
 
-// finish settles a flight: persist a success, record it in memory,
-// wake every waiter.
-func (co *Coordinator) finish(fl *flight, res *service.JobResult, errMsg string) {
-	if res != nil {
-		co.storePut(fl.hash, res)
-	}
-	co.mu.Lock()
-	delete(co.flights, fl.id)
-	co.rememberLocked(&completedEntry{id: fl.id, hash: fl.hash, res: res, errMsg: errMsg})
-	if res == nil {
-		co.met.JobsFailed.Inc()
-	}
-	co.mu.Unlock()
-	close(fl.done)
-}
-
-// storeGet reads a verified result from the durable tier; nil on a
-// miss, corruption, schema drift, or when no store is configured.
-func (co *Coordinator) storeGet(hash string) *service.JobResult {
-	if co.store == nil {
-		return nil
-	}
-	payload, ok := co.store.Get(hash)
-	if !ok {
-		return nil
-	}
-	var res service.JobResult
-	if err := json.Unmarshal(payload, &res); err != nil || res.Stats == nil {
-		return nil
-	}
-	return &res
-}
-
-// storePut persists a result to the durable tier, best effort.
-func (co *Coordinator) storePut(hash string, res *service.JobResult) {
-	if co.store == nil || res == nil {
-		return
-	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	_ = co.store.Put(hash, payload)
-}
-
 // probeLoop polls every worker's readiness on a fixed cadence, driving
 // ring ejection and readmission.
-func (co *Coordinator) probeLoop(ctx context.Context) {
-	defer close(co.probeDone)
-	t := time.NewTicker(co.probeInterval)
+func (d *dispatcher) probeLoop(ctx context.Context, every time.Duration) {
+	defer close(d.probeDone)
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			co.probeAll(ctx)
+			d.probeAll(ctx)
 		}
 	}
 }
 
 // probeAll runs one probe round. Workers are probed concurrently so a
-// hung worker costs one RequestTimeout, not one per worker.
-func (co *Coordinator) probeAll(ctx context.Context) {
+// hung worker costs one request timeout, not one per worker.
+func (d *dispatcher) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
-	for _, w := range co.workers {
+	for _, w := range d.workers {
 		wg.Add(1)
 		go func(w string) {
 			defer wg.Done()
-			ok, err := co.clients[w].Ready(ctx)
-			co.setHealth(w, ok && err == nil)
+			ok, err := d.clients[w].Ready(ctx)
+			d.setHealth(w, ok && err == nil)
 		}(w)
 	}
 	wg.Wait()
@@ -579,33 +358,20 @@ func (co *Coordinator) probeAll(ctx context.Context) {
 
 // setHealth moves a worker on or off the ring, counting the
 // transition. Safe for concurrent use.
-func (co *Coordinator) setHealth(worker string, healthy bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if _, known := co.workerIdx[worker]; !known || co.healthy[worker] == healthy {
+func (d *dispatcher) setHealth(worker string, healthy bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, known := d.workerIdx[worker]; !known || d.ring.Has(worker) == healthy {
 		return
 	}
-	co.healthy[worker] = healthy
 	if healthy {
-		co.ring.Add(worker)
-		co.met.Readmissions.Inc()
+		d.ring.Add(worker)
+		d.met.Readmissions.Inc()
 	} else {
-		co.ring.Remove(worker)
-		co.met.Ejections.Inc()
+		d.ring.Remove(worker)
+		d.met.Ejections.Inc()
 	}
-	co.met.RingNodes.Set(int64(co.ring.Len()))
-}
-
-// sleepCtx waits d or until ctx fires.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	d.met.RingNodes.Set(int64(d.ring.Len()))
 }
 
 // ---- HTTP surface ----------------------------------------------------
@@ -636,123 +402,51 @@ type StoreInfo struct {
 
 // Topology snapshots the cluster for GET /v1/cluster.
 func (co *Coordinator) Topology() *TopologyResponse {
-	co.mu.Lock()
+	inFlight, completed := co.front.Jobs()
 	resp := &TopologyResponse{
-		RingNodes: co.ring.Len(),
-		VNodes:    co.vnodes,
-		InFlight:  len(co.flights),
-		Completed: len(co.completed),
-		Draining:  co.draining,
+		RingNodes: co.d.ring.Len(),
+		VNodes:    co.d.ring.vnodes,
+		InFlight:  inFlight,
+		Completed: completed,
+		Draining:  co.front.Draining(),
 	}
-	for _, w := range co.workers {
-		resp.Workers = append(resp.Workers, WorkerInfo{URL: w, Healthy: co.healthy[w]})
+	for _, w := range co.d.workers {
+		resp.Workers = append(resp.Workers, WorkerInfo{URL: w, Healthy: co.d.ring.Has(w)})
 	}
-	co.mu.Unlock()
 	if co.store != nil {
 		resp.Store = &StoreInfo{Dir: co.store.Dir(), Entries: co.store.Len(), Bytes: co.store.Bytes()}
 	}
 	return resp
 }
 
-// Handler mounts the coordinator's HTTP surface: the same /v1 job API
-// a single daemon serves (so warped/client works unchanged), plus the
-// /v1/cluster topology endpoint, health probes, and /debug. See
-// docs/CLUSTER.md.
+// Handler mounts the coordinator's HTTP surface: the front end's /v1
+// job API, health probe and /debug (so warped/client works unchanged),
+// plus the /v1/cluster topology endpoint and the cluster's own answers
+// for /v1/benchmarks and /readyz. See docs/CLUSTER.md.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", co.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", co.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", co.handleResult)
-	mux.HandleFunc("GET /v1/benchmarks", co.handleBenchmarks)
+	mux.Handle("/", co.front.Handler())
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, co.Topology())
+		service.WriteJSON(w, http.StatusOK, co.Topology())
 	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	mux.HandleFunc("GET /v1/benchmarks", co.handleBenchmarks)
 	mux.HandleFunc("GET /readyz", co.handleReady)
-	mux.Handle("/debug/", metrics.Handler(co.reg))
 	return mux
-}
-
-// maxSpecBytes mirrors the single-daemon spec size bound.
-const maxSpecBytes = 1 << 20
-
-func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("cluster: reading body: %v", err))
-		return
-	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("cluster: job spec exceeds %d bytes", maxSpecBytes))
-		return
-	}
-	spec, err := service.ParseSpec(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	resp, err := co.Submit(spec)
-	switch {
-	case errors.Is(err, service.ErrDraining):
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "cluster: coordinator is draining")
-	case errors.Is(err, ErrNoWorkers):
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, ErrNoWorkers.Error())
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
-	case resp.Cached:
-		writeJSON(w, http.StatusOK, resp)
-	default:
-		writeJSON(w, http.StatusAccepted, resp)
-	}
-}
-
-func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	resp, ok := co.Status(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("cluster: unknown job %q", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	resp, ok := co.Result(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("cluster: unknown job %q", id))
-		return
-	}
-	if resp == nil {
-		if st, _ := co.Status(id); st != nil && st.Status == "failed" {
-			writeError(w, http.StatusInternalServerError,
-				fmt.Sprintf("cluster: job %s failed: %s", id, st.Error))
-			return
-		}
-		writeError(w, http.StatusConflict, fmt.Sprintf("cluster: job %s is not finished", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleBenchmarks proxies the workload list from the first healthy
 // worker — every worker runs the same build, so any answer is the
 // cluster's answer.
 func (co *Coordinator) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	for _, worker := range co.ring.Nodes() {
-		names, err := co.clients[worker].Benchmarks(r.Context())
+	for _, worker := range co.d.ring.Nodes() {
+		names, err := co.d.clients[worker].Benchmarks(r.Context())
 		if err != nil {
 			continue
 		}
-		writeJSON(w, http.StatusOK, map[string][]string{"benchmarks": names})
+		service.WriteJSON(w, http.StatusOK, map[string][]string{"benchmarks": names})
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, ErrNoWorkers.Error())
+	service.WriteError(w, http.StatusServiceUnavailable, ErrNoWorkers.Error())
 }
 
 // handleReady answers the coordinator's own readiness: it can do work
@@ -760,25 +454,12 @@ func (co *Coordinator) handleBenchmarks(w http.ResponseWriter, r *http.Request) 
 // store-only coordinator still answers cached jobs, but is not ready
 // for new work).
 func (co *Coordinator) handleReady(w http.ResponseWriter, _ *http.Request) {
-	co.mu.Lock()
-	draining, ringLen := co.draining, co.ring.Len()
-	co.mu.Unlock()
 	switch {
-	case draining:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-	case ringLen == 0:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy workers"})
+	case co.front.Draining():
+		service.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	case co.d.ring.Len() == 0:
+		service.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy workers"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

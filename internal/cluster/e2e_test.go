@@ -3,9 +3,11 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -526,4 +528,300 @@ func TestClusterProbeEjectionAndReadmission(t *testing.T) {
 	if snap.Gauges["cluster.ring_nodes"].Value != 2 {
 		t.Errorf("ring_nodes gauge = %d, want 2", snap.Gauges["cluster.ring_nodes"].Value)
 	}
+}
+
+// spinSrc loops 2^32 times, far longer than any test: the worker's
+// JobTimeout is what ends it. That holds the job in flight for a known
+// window after submission, then fails it.
+const spinSrc = `
+.kernel spin
+	mov  r0, 0
+LOOP:
+	iadd r0, r0, 1
+	setp.ne.u32 p0, r0, 0
+	@p0 bra LOOP
+	exit
+`
+
+// specBody encodes spec as a POST body and computes its job ID.
+func specBody(t *testing.T, spec *client.JobSpec) (body, id string) {
+	t.Helper()
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, id, err = service.SpecKey(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data), id
+}
+
+// waitSettled polls a job's status until it is done or failed.
+func waitSettled(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(base + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatalf("status poll: %v", err)
+		}
+		var st client.StatusResponse
+		_ = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if st.Status == "done" || st.Status == "failed" {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("job %s did not settle", id)
+}
+
+// TestAPIConformance drives the documented answers of docs/SERVICE.md,
+// one row each, against a worker and against a coordinator over one
+// worker: both modes must serve the same API. A spinning kernel, ended
+// by the worker's JobTimeout, keeps the "in flight" rows deterministic.
+func TestAPIConformance(t *testing.T) {
+	const gate = 2 * time.Second
+	worker := func(t *testing.T) (string, func(context.Context) error) {
+		srv := service.New(service.Options{Workers: 1, QueueDepth: 4, JobTimeout: gate})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		t.Cleanup(func() { _ = srv.Drain(context.Background()) })
+		return ts.URL, srv.Drain
+	}
+	coordinator := func(t *testing.T) (string, func(context.Context) error) {
+		w, _ := newWorker(t, service.Options{Workers: 1, QueueDepth: 4, JobTimeout: gate})
+		co := cluster.New(cluster.Options{Workers: []string{w.URL}, ProbeInterval: time.Hour})
+		ts := httptest.NewServer(co.Handler())
+		t.Cleanup(ts.Close)
+		t.Cleanup(func() { _ = co.Drain(context.Background()) })
+		return ts.URL, co.Drain
+	}
+
+	spin, spinID := specBody(t, &client.JobSpec{Source: spinSrc})
+	tiny, tinyID := specBody(t, &client.JobSpec{Source: tinySrc})
+	fresh, _ := specBody(t, &client.JobSpec{Source: tinySrc, Params: []uint32{7}})
+	huge := `{"source":"` + strings.Repeat("x", 1<<20) + `"}`
+	const unknown = "/v1/jobs/jdeadbeefdeadbeef"
+
+	type row struct {
+		name         string
+		before       func(t *testing.T, base string, drain func(context.Context) error)
+		method, path string
+		body         string
+		code         int
+		fields       map[string]any // expected top-level JSON fields; nil value: absent
+		retryAfter   bool
+	}
+	settled := func(id string) func(*testing.T, string, func(context.Context) error) {
+		return func(t *testing.T, base string, _ func(context.Context) error) { waitSettled(t, base, id) }
+	}
+	rows := []row{
+		{name: "fresh submit is queued", method: "POST", path: "/v1/jobs", body: spin, code: 202,
+			fields: map[string]any{"id": spinID, "status": "queued", "coalesced": nil, "cached": nil}},
+		{name: "duplicate in-flight submit coalesces", method: "POST", path: "/v1/jobs", body: spin, code: 202,
+			fields: map[string]any{"id": spinID, "coalesced": true}},
+		{name: "unfinished result is 409 with Retry-After", path: "/v1/jobs/" + spinID + "/result", code: 409,
+			retryAfter: true},
+		{name: "second fresh submit", method: "POST", path: "/v1/jobs", body: tiny, code: 202},
+		{name: "resubmit after done is cached", before: settled(tinyID), method: "POST", path: "/v1/jobs",
+			body: tiny, code: 200, fields: map[string]any{"id": tinyID, "status": "done", "cached": true}},
+		{name: "empty spec", method: "POST", path: "/v1/jobs", body: `{}`, code: 400},
+		{name: "unknown field", method: "POST", path: "/v1/jobs", body: `{"benchmark":"Reduce","bogus":1}`, code: 400},
+		{name: "body over 1 MiB", method: "POST", path: "/v1/jobs", body: huge, code: 413},
+		{name: "status of unknown job", path: unknown, code: 404},
+		{name: "result of unknown job", path: unknown + "/result", code: 404},
+		{name: "result of failed job", before: settled(spinID), path: "/v1/jobs/" + spinID + "/result", code: 500},
+		{name: "readyz after drain", before: func(t *testing.T, _ string, drain func(context.Context) error) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := drain(ctx); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+		}, path: "/readyz", code: 503},
+		{name: "submit after drain", method: "POST", path: "/v1/jobs", body: fresh, code: 503, retryAfter: true},
+	}
+
+	for _, mode := range []struct {
+		name  string
+		start func(t *testing.T) (string, func(context.Context) error)
+	}{{"worker", worker}, {"coordinator", coordinator}} {
+		t.Run(mode.name, func(t *testing.T) {
+			t.Parallel()
+			base, drain := mode.start(t)
+			for _, r := range rows {
+				if r.before != nil {
+					r.before(t, base, drain)
+				}
+				method := r.method
+				if method == "" {
+					method = http.MethodGet
+				}
+				req, err := http.NewRequest(method, base+r.path, strings.NewReader(r.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatalf("%s: %v", r.name, err)
+				}
+				var got map[string]any
+				decErr := json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if resp.StatusCode != r.code {
+					t.Errorf("%s: %s %s = %d %v, want %d", r.name, method, r.path, resp.StatusCode, got, r.code)
+					continue
+				}
+				if decErr != nil {
+					t.Errorf("%s: body is not JSON: %v", r.name, decErr)
+				}
+				if r.retryAfter && resp.Header.Get("Retry-After") == "" {
+					t.Errorf("%s: no Retry-After header", r.name)
+				}
+				for k, want := range r.fields {
+					v, present := got[k]
+					if want == nil && present || want != nil && v != want {
+						t.Errorf("%s: field %q = %v, want %v (body %v)", r.name, k, v, want, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// seedStore computes spec once on a throwaway worker whose durable
+// tier is dir, so later front ends over dir find it there.
+func seedStore(t *testing.T, dir string, spec *client.JobSpec) {
+	t.Helper()
+	srv := service.New(service.Options{Workers: 1, Store: openStore(t, dir)})
+	resp, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Wait(resp.ID)
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterNoWorkersRefusalNotCounted: with every worker ejected, a
+// job the store cannot answer is refused with 503 and is not counted as
+// submitted, while a job the store holds is still answered.
+func TestClusterNoWorkersRefusalNotCounted(t *testing.T) {
+	dir := t.TempDir()
+	stored := &client.JobSpec{Source: tinySrc}
+	seedStore(t, dir, stored)
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(down.Close)
+
+	reg := metrics.New()
+	co, c := newCoordinator(t, cluster.Options{
+		Workers:       []string{down.URL},
+		Store:         openStore(t, dir),
+		Metrics:       reg,
+		ProbeInterval: 10 * time.Millisecond,
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for co.Healthy(down.URL) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the worker's ejection")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx := context.Background()
+	submitted := func() int64 { return reg.Snapshot().Counters["cluster.jobs_submitted_total"] }
+
+	if _, err := c.Submit(ctx, &client.JobSpec{Source: tinySrc, Params: []uint32{1}}); !errors.Is(err, client.ErrDraining) {
+		t.Errorf("fresh Submit with no workers = %v, want 503", err)
+	}
+	if got := submitted(); got != 0 {
+		t.Errorf("jobs_submitted_total = %d after a refusal, want 0", got)
+	}
+	resp, err := c.Submit(ctx, stored)
+	if err != nil {
+		t.Fatalf("stored Submit with no workers: %v", err)
+	}
+	if !resp.Cached || resp.Status != "done" {
+		t.Errorf("stored Submit = %+v, want cached done", resp)
+	}
+	if got := submitted(); got != 1 {
+		t.Errorf("jobs_submitted_total = %d after a store hit, want 1", got)
+	}
+}
+
+// TestStoreHitRace: concurrent identical submissions against a cold
+// front end whose store holds the result all answer cached, run
+// nothing, and leave one table entry — the re-check after the
+// off-lock store read settles every race. Both modes.
+func TestStoreHitRace(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	spec := &client.JobSpec{Source: tinySrc}
+	seedStore(t, dir, spec)
+
+	submitAll := func(t *testing.T, submit func() (*client.SubmitResponse, error)) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := submit()
+				if err != nil {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+				if !resp.Cached || resp.Status != "done" {
+					t.Errorf("Submit = %+v, want cached done", resp)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	t.Run("worker", func(t *testing.T) {
+		reg := metrics.New()
+		srv := service.New(service.Options{Workers: 1, Store: openStore(t, dir), Metrics: reg})
+		t.Cleanup(func() { _ = srv.Drain(context.Background()) })
+		submitAll(t, func() (*client.SubmitResponse, error) { return srv.Submit(spec) })
+		snap := reg.Snapshot()
+		if got := snap.Counters["service.jobs_executed_total"]; got != 0 {
+			t.Errorf("jobs_executed_total = %d, want 0", got)
+		}
+		if got := snap.Counters["service.cache_hits_total"]; got != n {
+			t.Errorf("cache_hits_total = %d, want %d", got, n)
+		}
+		if got := snap.Gauges["service.cache_entries"].Value; got != 1 {
+			t.Errorf("cache_entries = %d, want 1", got)
+		}
+	})
+
+	t.Run("coordinator", func(t *testing.T) {
+		w, wreg := newWorker(t, service.Options{Workers: 1})
+		reg := metrics.New()
+		co, c := newCoordinator(t, cluster.Options{
+			Workers:       []string{w.URL},
+			Store:         openStore(t, dir),
+			Metrics:       reg,
+			ProbeInterval: time.Hour,
+		})
+		ctx := context.Background()
+		submitAll(t, func() (*client.SubmitResponse, error) { return c.Submit(ctx, spec) })
+		snap := reg.Snapshot()
+		if got := snap.Counters["cluster.dispatches_total"]; got != 0 {
+			t.Errorf("dispatches_total = %d, want 0", got)
+		}
+		if got := snap.Counters["cluster.cache_hits_total"] + snap.Counters["cluster.store_hits_total"]; got != n {
+			t.Errorf("cache_hits + store_hits = %d, want %d", got, n)
+		}
+		if got := wreg.Snapshot().Counters["service.jobs_executed_total"]; got != 0 {
+			t.Errorf("worker executed %d jobs, want 0", got)
+		}
+		if topo := co.Topology(); topo.Completed != 1 || topo.InFlight != 0 {
+			t.Errorf("topology completed/in-flight = %d/%d, want 1/0", topo.Completed, topo.InFlight)
+		}
+	})
 }

@@ -285,33 +285,86 @@ func ForStore(r *Registry) *Store {
 	}
 }
 
+// FrontEnd is the pre-resolved instrument set of warpd's job front end
+// (internal/service), which both roles run. ForService resolves it to
+// the worker's service.* series, ForCluster to the coordinator's
+// cluster.* series; a field a role does not export stays nil and
+// no-ops. A FrontEnd built from a nil registry no-ops throughout.
+type FrontEnd struct {
+	// Submission outcomes. JobsSubmitted counts every accepted
+	// submission (fresh, coalesced, or answered from a cache tier);
+	// JobsRejected counts submissions turned away by admission (queue
+	// full, draining, no healthy workers).
+	JobsSubmitted *Counter
+	JobsRejected  *Counter
+
+	// Execution outcomes: jobs the executor ran to completion, and the
+	// subset that failed.
+	JobsExecuted *Counter
+	JobsFailed   *Counter
+
+	// Content-addressed cache behaviour. A memory hit serves a
+	// completed result from the LRU, a store hit from the durable tier;
+	// a coalesce attaches a duplicate submission to an in-flight job; a
+	// miss hands a fresh job to the executor; evictions count completed
+	// entries dropped by the LRU bound.
+	MemHits   *Counter
+	StoreHits *Counter
+	Misses    *Counter
+	Coalesced *Counter
+	Evictions *Counter
+
+	// Entries gauges the completed results currently retained.
+	Entries *Gauge
+
+	// JobLatencyMS histograms admitted-to-finished wall-clock latency
+	// of executed jobs (cache hits are not observed: they take no queue
+	// time). Operational data, never part of the simulation output.
+	JobLatencyMS *Histogram
+}
+
+// ForService resolves the worker's front-end set (service.*) against
+// r (nil-safe). The worker does not tell its two cache tiers apart:
+// memory and store hits both count as service.cache_hits_total.
+func ForService(r *Registry) *FrontEnd {
+	hits := r.Counter("service.cache_hits_total")
+	return &FrontEnd{
+		JobsSubmitted: r.Counter("service.jobs_submitted_total"),
+		JobsRejected:  r.Counter("service.jobs_rejected_total"),
+		JobsExecuted:  r.Counter("service.jobs_executed_total"),
+		JobsFailed:    r.Counter("service.jobs_failed_total"),
+		MemHits:       hits,
+		StoreHits:     hits,
+		Misses:        r.Counter("service.cache_misses_total"),
+		Coalesced:     r.Counter("service.cache_coalesced_total"),
+		Evictions:     r.Counter("service.cache_evictions_total"),
+		Entries:       r.Gauge("service.cache_entries"),
+		JobLatencyMS:  r.Histogram("service.job_latency_ms", LatencyMSBounds),
+	}
+}
+
 // Cluster is the pre-resolved instrument set of the coordinator
-// (internal/cluster, cmd/warpd -coordinator). Per-worker dispatch
-// counters are always allocated (with nil entries when the registry is
-// nil), indexed by the worker's position in the configured pool. A
-// Cluster built from a nil registry no-ops throughout.
+// (internal/cluster, cmd/warpd -coordinator): its front end's cluster.*
+// series plus the ring, dispatch and health counters. Per-worker
+// dispatch counters are always allocated (with nil entries when the
+// registry is nil), indexed by the worker's position in the configured
+// pool. A Cluster built from a nil registry no-ops throughout.
 type Cluster struct {
+	// FrontEnd carries the submission outcomes at the cluster tier:
+	// accepted submissions, memory and store hits, coalesces, failures.
+	FrontEnd
+
 	// RingNodes gauges the healthy workers currently on the hash ring;
 	// its high-water mark is the largest ring the coordinator held.
 	RingNodes *Gauge
 
-	// Submission outcomes, mirroring the service.* vocabulary at the
-	// cluster tier: accepted submissions, in-memory result hits,
-	// durable-store hits, cluster-wide coalesces onto an in-flight
-	// dispatch, and dispatches actually sent to a worker.
-	JobsSubmitted *Counter
-	MemHits       *Counter
-	StoreHits     *Counter
-	Coalesced     *Counter
-	Dispatches    *Counter
-
-	// Failure handling. HedgesFired counts extra dispatches launched by
-	// the latency hedge; Redispatches counts jobs re-sent to the next
-	// ring node after a draining (503), budget-exhausted (429) or dead
-	// worker; JobsFailed counts jobs that exhausted every candidate.
+	// Dispatches counts jobs sent to a worker. HedgesFired counts extra
+	// dispatches launched by the latency hedge; Redispatches counts
+	// jobs re-sent to the next ring node after a draining (503),
+	// budget-exhausted (429) or dead worker.
+	Dispatches   *Counter
 	HedgesFired  *Counter
 	Redispatches *Counter
-	JobsFailed   *Counter
 
 	// Health tracking: workers ejected from / readmitted to the ring by
 	// the Ready prober (or ejected synchronously by a failed dispatch).
@@ -330,15 +383,17 @@ func ForCluster(r *Registry, numWorkers int) *Cluster {
 		numWorkers = 0
 	}
 	m := &Cluster{
+		FrontEnd: FrontEnd{
+			JobsSubmitted: r.Counter("cluster.jobs_submitted_total"),
+			MemHits:       r.Counter("cluster.cache_hits_total"),
+			StoreHits:     r.Counter("cluster.store_hits_total"),
+			Coalesced:     r.Counter("cluster.coalesced_total"),
+			JobsFailed:    r.Counter("cluster.jobs_failed_total"),
+		},
 		RingNodes:        r.Gauge("cluster.ring_nodes"),
-		JobsSubmitted:    r.Counter("cluster.jobs_submitted_total"),
-		MemHits:          r.Counter("cluster.cache_hits_total"),
-		StoreHits:        r.Counter("cluster.store_hits_total"),
-		Coalesced:        r.Counter("cluster.coalesced_total"),
 		Dispatches:       r.Counter("cluster.dispatches_total"),
 		HedgesFired:      r.Counter("cluster.hedges_fired_total"),
 		Redispatches:     r.Counter("cluster.redispatches_total"),
-		JobsFailed:       r.Counter("cluster.jobs_failed_total"),
 		Ejections:        r.Counter("cluster.worker_ejections_total"),
 		Readmissions:     r.Counter("cluster.worker_readmissions_total"),
 		WorkerDispatches: make([]*Counter, numWorkers),
@@ -347,55 +402,4 @@ func ForCluster(r *Registry, numWorkers int) *Cluster {
 		m.WorkerDispatches[i] = r.Counter(fmt.Sprintf("cluster.worker.%02d.dispatches_total", i))
 	}
 	return m
-}
-
-// Service is the pre-resolved instrument set of the simulation-as-a-
-// service daemon (internal/service, cmd/warpd). A Service built from a
-// nil registry no-ops throughout.
-type Service struct {
-	// Submission outcomes. JobsSubmitted counts every accepted POST
-	// (including ones answered from the cache or coalesced onto an
-	// in-flight job); JobsRejected counts submissions turned away by
-	// admission control (429) or during drain (503).
-	JobsSubmitted *Counter
-	JobsRejected  *Counter
-
-	// Execution outcomes: simulations actually started on the pool, and
-	// the subset that failed (assembly/validation/simulation errors and
-	// isolated panics). executed - failed = results now cacheable.
-	JobsExecuted *Counter
-	JobsFailed   *Counter
-
-	// Content-addressed cache behaviour. A hit serves a completed result
-	// without simulating; a coalesce attaches a duplicate submission to
-	// an in-flight execution; a miss schedules a fresh execution;
-	// evictions count completed entries dropped by the LRU bound.
-	CacheHits      *Counter
-	CacheMisses    *Counter
-	CacheCoalesced *Counter
-	CacheEvictions *Counter
-
-	// CacheEntries gauges the completed results currently retained.
-	CacheEntries *Gauge
-
-	// JobLatencyMS histograms queued-to-finished wall-clock latency of
-	// executed jobs (cache hits are not observed: they take no queue
-	// time). Operational data, never part of the simulation output.
-	JobLatencyMS *Histogram
-}
-
-// ForService resolves the service instrument set against r (nil-safe).
-func ForService(r *Registry) *Service {
-	return &Service{
-		JobsSubmitted:  r.Counter("service.jobs_submitted_total"),
-		JobsRejected:   r.Counter("service.jobs_rejected_total"),
-		JobsExecuted:   r.Counter("service.jobs_executed_total"),
-		JobsFailed:     r.Counter("service.jobs_failed_total"),
-		CacheHits:      r.Counter("service.cache_hits_total"),
-		CacheMisses:    r.Counter("service.cache_misses_total"),
-		CacheCoalesced: r.Counter("service.cache_coalesced_total"),
-		CacheEvictions: r.Counter("service.cache_evictions_total"),
-		CacheEntries:   r.Gauge("service.cache_entries"),
-		JobLatencyMS:   r.Histogram("service.job_latency_ms", LatencyMSBounds),
-	}
 }

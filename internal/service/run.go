@@ -3,11 +3,13 @@ package service
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"warped/internal/asm"
 	"warped/internal/core"
 	"warped/internal/mem"
 	"warped/internal/metrics"
+	"warped/internal/runner"
 	"warped/internal/sim"
 	"warped/internal/stats"
 )
@@ -30,6 +32,38 @@ type JobResult struct {
 	// Detections counts comparator mismatches across all attempts.
 	Detections int `json:"detections"`
 }
+
+// localExecutor is the worker daemon's Executor: it simulates each
+// admitted job in this process, on a bounded runner pool whose full
+// queue refuses with ErrBusy.
+type localExecutor struct {
+	pool    *runner.Pool
+	timeout time.Duration     // per-job wall-clock budget; 0 means none
+	reg     *metrics.Registry // receives each run's sim/DMR telemetry
+}
+
+func (l *localExecutor) Start(j *Job) error {
+	// The pool runs done after the task on the same worker goroutine,
+	// so res needs no lock. A panicking task leaves it nil and done
+	// receives the *runner.PanicError.
+	var res *JobResult
+	return l.pool.Submit(
+		func() (err error) {
+			j.Running()
+			ctx := context.Background()
+			if l.timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, l.timeout)
+				defer cancel()
+			}
+			res, err = j.canon.execute(ctx, j.ID, l.reg)
+			return err
+		},
+		func(err error) { j.Finish(res, err) },
+	)
+}
+
+func (l *localExecutor) Drain(ctx context.Context) error { return l.pool.Drain(ctx) }
 
 // execute runs the canonical job to completion under ctx, reporting
 // operational telemetry into reg (which may be nil). The control flow

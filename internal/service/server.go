@@ -55,14 +55,13 @@ func (st jobState) String() string {
 	}
 }
 
-// job is one cache entry: the canonical work plus its lifecycle. The
-// entry exists from admission on, which is what makes the map double
-// as the coalescing mechanism — a duplicate submission finds the
-// in-flight entry and attaches instead of re-simulating.
+// job is one entry of the job table: its lifecycle, and its outcome
+// once finished. The entry exists from admission on, which is what
+// makes the table double as the coalescing mechanism — a duplicate
+// submission finds the in-flight entry and attaches instead of running
+// the work again.
 type job struct {
 	id       string
-	hash     string // full content hash — the durable-store key
-	canon    *canonicalJob
 	state    jobState
 	result   *JobResult
 	errMsg   string
@@ -103,40 +102,118 @@ type Options struct {
 	Store *store.Store
 }
 
-// Server is the simulation-as-a-service engine behind cmd/warpd:
-// content-addressed result cache, in-flight coalescing, bounded
-// admission onto a runner pool, and a graceful drain. It is
-// transport-independent — Handler mounts the HTTP surface on top.
+// Executor runs the jobs a Server admits. The worker daemon's executor
+// simulates them on a local runner pool; the cluster coordinator's
+// dispatches them to worker daemons over a hash ring.
+type Executor interface {
+	// Start begins running j without blocking. A non-nil error refuses
+	// the job synchronously (ErrBusy answers 429, anything else 503)
+	// and j is dropped. Otherwise the executor calls j.Finish exactly
+	// once, from any goroutine, with a result or an error, and may call
+	// j.Running before that. The Server calls Start under its own lock,
+	// so Start must not call back into the Server.
+	Start(j *Job) error
+
+	// Drain waits until every started job has finished, or ctx fires,
+	// and then releases the executor. The Server stops calling Start
+	// before it calls Drain.
+	Drain(ctx context.Context) error
+}
+
+// Job is an admitted job as its Executor sees it.
+type Job struct {
+	// ID and Hash are the job's content address: the wire ID and the
+	// full canonical-spec hash (the durable-store and ring key).
+	ID   string
+	Hash string
+
+	// Spec is the submission as the caller sent it.
+	Spec *JobSpec
+
+	canon *canonicalJob
+	s     *Server
+	entry *job
+}
+
+// Running records that execution has begun: status polls answer
+// "running" instead of "queued" from then on.
+func (j *Job) Running() {
+	j.s.mu.Lock()
+	j.entry.state = stateRunning
+	j.s.mu.Unlock()
+}
+
+// Finish settles the job: a success is persisted to the durable store
+// (outside the table lock) and retained in the LRU, a failure keeps its
+// error for status polls. Every waiter is woken.
+func (j *Job) Finish(res *JobResult, err error) {
+	s, e := j.s, j.entry
+	if err == nil {
+		s.storePut(j.Hash, res)
+	}
+	s.mu.Lock()
+	if err != nil {
+		e.state = stateFailed
+		e.errMsg = err.Error()
+		s.met.JobsFailed.Inc()
+	} else {
+		e.state = stateDone
+		e.result = res
+	}
+	s.met.JobsExecuted.Inc()
+	s.met.JobLatencyMS.Observe(time.Since(e.enqueued).Milliseconds())
+	e.elem = s.lru.PushFront(e)
+	s.evictLocked()
+	s.mu.Unlock()
+	close(e.done)
+}
+
+// Server is warpd's job front end: content-addressed job table with
+// in-flight coalescing, a bounded completed-result LRU over an optional
+// durable store, admission onto an Executor, and a graceful drain. It
+// is transport-independent — Handler mounts the HTTP surface on top.
 type Server struct {
-	pool     *runner.Pool
+	exec     Executor
 	reg      *metrics.Registry
-	met      *metrics.Service
-	timeout  time.Duration
+	met      *metrics.FrontEnd
 	cacheCap int
 	store    *store.Store // durable tier; nil when not configured
 
-	mu   sync.Mutex
-	jobs map[string]*job
-	lru  *list.List // completed *job entries, most recently used first
+	mu       sync.Mutex
+	jobs     map[string]*job
+	lru      *list.List // completed *job entries, most recently used first
+	draining bool
 }
 
-// New builds a Server and starts its worker pool.
+// New builds the worker daemon: a Server that simulates admitted jobs
+// on a local runner pool, which it starts.
 func New(opt Options) *Server {
 	capEntries := opt.CacheEntries
 	if capEntries <= 0 {
 		capEntries = 256
 	}
-	return &Server{
+	exec := &localExecutor{
 		pool: runner.NewPool(runner.PoolOptions{
 			Workers:    opt.Workers,
 			QueueDepth: opt.QueueDepth,
 			Metrics:    opt.Metrics,
 		}),
-		reg:      opt.Metrics,
-		met:      metrics.ForService(opt.Metrics),
-		timeout:  opt.JobTimeout,
-		cacheCap: capEntries,
-		store:    opt.Store,
+		timeout: opt.JobTimeout,
+		reg:     opt.Metrics,
+	}
+	return NewFrontEnd(exec, capEntries, opt.Store, opt.Metrics, metrics.ForService(opt.Metrics))
+}
+
+// NewFrontEnd builds a Server that runs admitted jobs on exec, retains
+// up to cacheEntries completed results in memory over the durable tier
+// st (nil for none), counts into met, and serves reg on /debug.
+func NewFrontEnd(exec Executor, cacheEntries int, st *store.Store, reg *metrics.Registry, met *metrics.FrontEnd) *Server {
+	return &Server{
+		exec:     exec,
+		reg:      reg,
+		met:      met,
+		cacheCap: cacheEntries,
+		store:    st,
 		jobs:     make(map[string]*job),
 		lru:      list.New(),
 	}
@@ -179,8 +256,9 @@ type ResultResponse struct {
 
 // Submit admits one job: a completed identical job is a cache hit, an
 // in-flight identical job coalesces, a fresh job is canonicalized and
-// queued. The error is ErrDraining or ErrBusy for admission refusals,
-// anything else is a spec validation failure.
+// handed to the executor. The error is ErrDraining, or the executor's
+// refusal (ErrBusy from the worker's full queue), for admission
+// refusals; anything else is a spec validation failure.
 func (s *Server) Submit(spec *JobSpec) (*SubmitResponse, error) {
 	canon, err := spec.Canonicalize()
 	if err != nil {
@@ -190,55 +268,82 @@ func (s *Server) Submit(spec *JobSpec) (*SubmitResponse, error) {
 	id := IDFromHash(hash)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		switch j.state {
-		case stateDone:
-			s.met.JobsSubmitted.Inc()
-			s.met.CacheHits.Inc()
-			s.lru.MoveToFront(j.elem)
-			return &SubmitResponse{ID: id, Status: j.state.String(), Cached: true}, nil
-		case stateQueued, stateRunning:
-			s.met.JobsSubmitted.Inc()
-			s.met.CacheCoalesced.Inc()
-			return &SubmitResponse{ID: id, Status: j.state.String(), Coalesced: true}, nil
-		case stateFailed:
-			// Failures are never served as hits: drop the entry and
-			// re-admit below, so a transient failure (timeout, OOM-ish
-			// environment trouble) is retried by resubmission.
-			s.removeLocked(j)
-		}
+	resp, ok := s.admitLocked(id)
+	s.mu.Unlock()
+	if ok {
+		return resp, nil
 	}
 
 	// The in-memory LRU missed; the durable tier may still hold the
-	// result from a prior process (or an evicted entry). A verified
-	// store payload materializes as a completed job — no simulation.
+	// result from a prior process (or an evicted entry). It is read off
+	// the lock, so disk reads never stall status polls, and the table is
+	// checked again afterwards in case an identical submission won.
 	if res := s.storeGet(hash); res != nil {
-		j := &job{id: id, hash: hash, canon: canon, state: stateDone,
-			result: res, done: make(chan struct{})}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if resp, ok := s.admitLocked(id); ok {
+			return resp, nil
+		}
+		j := &job{id: id, state: stateDone, result: res, done: make(chan struct{})}
 		close(j.done)
 		j.elem = s.lru.PushFront(j)
 		s.jobs[id] = j
 		s.evictLocked()
 		s.met.JobsSubmitted.Inc()
-		s.met.CacheHits.Inc()
+		s.met.StoreHits.Inc()
 		return &SubmitResponse{ID: id, Status: j.state.String(), Cached: true}, nil
 	}
 
-	j := &job{id: id, hash: hash, canon: canon, state: stateQueued,
-		done: make(chan struct{}), enqueued: time.Now()}
-	err = s.pool.Submit(
-		func() error { return s.runJob(j) },
-		func(err error) { s.finishJob(j, err) },
-	)
-	if err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if resp, ok := s.admitLocked(id); ok {
+		return resp, nil
+	}
+	if s.draining {
 		s.met.JobsRejected.Inc()
-		return nil, err
+		return nil, ErrDraining
+	}
+	j := &job{id: id, state: stateQueued, done: make(chan struct{}), enqueued: time.Now()}
+	if err := s.exec.Start(&Job{ID: id, Hash: hash, Spec: spec, canon: canon, s: s, entry: j}); err != nil {
+		s.met.JobsRejected.Inc()
+		return nil, refusal{err}
 	}
 	s.jobs[id] = j
 	s.met.JobsSubmitted.Inc()
-	s.met.CacheMisses.Inc()
+	s.met.Misses.Inc()
 	return &SubmitResponse{ID: id, Status: j.state.String()}, nil
+}
+
+// refusal marks an executor's admission refusal, so the HTTP layer can
+// tell it from a spec validation error.
+type refusal struct{ error }
+
+func (r refusal) Unwrap() error { return r.error }
+
+// admitLocked answers a submission from the job table when it can: a
+// completed success is a cache hit, an in-flight job coalesces. A
+// failed entry is dropped so the caller re-admits it: failures are
+// never served as hits, so a transient failure (timeout, dead worker)
+// is retried by resubmission. Caller holds s.mu.
+func (s *Server) admitLocked(id string) (*SubmitResponse, bool) {
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, false
+	}
+	switch j.state {
+	case stateDone:
+		s.met.JobsSubmitted.Inc()
+		s.met.MemHits.Inc()
+		s.lru.MoveToFront(j.elem)
+		return &SubmitResponse{ID: id, Status: j.state.String(), Cached: true}, true
+	case stateQueued, stateRunning:
+		s.met.JobsSubmitted.Inc()
+		s.met.Coalesced.Inc()
+		return &SubmitResponse{ID: id, Status: j.state.String(), Coalesced: true}, true
+	case stateFailed:
+		s.removeLocked(j)
+	}
+	return nil, false
 }
 
 // Status reports a job's lifecycle state; false when the ID is neither
@@ -289,61 +394,30 @@ func (s *Server) Wait(id string) bool {
 	return true
 }
 
-// Drain stops admission immediately (Submit returns ErrDraining, the
-// readiness probe flips to 503) and waits for every queued and
-// in-flight job to finish, or for ctx to fire. Idempotent.
+// Jobs reports the job table's occupancy: jobs queued or running, and
+// completed (done or failed) entries retained.
+func (s *Server) Jobs() (inFlight, completed int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.jobs) - s.lru.Len(), s.lru.Len()
+}
+
+// Drain stops admission immediately (a submission the cache cannot
+// answer returns ErrDraining, the readiness probe flips to 503) and
+// waits for every admitted job to finish, or for ctx to fire.
+// Idempotent.
 func (s *Server) Drain(ctx context.Context) error {
-	return s.pool.Drain(ctx)
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	return s.exec.Drain(ctx)
 }
 
 // Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.pool.Draining() }
-
-// runJob executes one admitted job on a pool worker.
-func (s *Server) runJob(j *job) error {
+func (s *Server) Draining() bool {
 	s.mu.Lock()
-	j.state = stateRunning
-	s.mu.Unlock()
-	ctx := context.Background()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	res, err := j.canon.execute(ctx, j.id, s.reg)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	j.result = res
-	s.mu.Unlock()
-	return nil
-}
-
-// finishJob records the outcome (err may be a *runner.PanicError from
-// an isolated panic), persists a successful result to the durable
-// store, moves the entry into the LRU ring, and enforces the cache
-// bound.
-func (s *Server) finishJob(j *job, err error) {
-	if err == nil {
-		// The pool runs finishJob after runJob on the same worker, so
-		// j.result is stable here; persist outside the server lock.
-		s.storePut(j.hash, j.result)
-	}
-	s.mu.Lock()
-	if err != nil {
-		j.state = stateFailed
-		j.errMsg = err.Error()
-		s.met.JobsFailed.Inc()
-	} else {
-		j.state = stateDone
-	}
-	s.met.JobsExecuted.Inc()
-	s.met.JobLatencyMS.Observe(time.Since(j.enqueued).Milliseconds())
-	j.elem = s.lru.PushFront(j)
-	s.evictLocked()
-	s.mu.Unlock()
-	close(j.done)
+	defer s.mu.Unlock()
+	return s.draining
 }
 
 // evictLocked enforces the LRU cache bound. Caller holds s.mu.
@@ -351,9 +425,9 @@ func (s *Server) evictLocked() {
 	for s.lru.Len() > s.cacheCap {
 		oldest := s.lru.Back()
 		s.removeLocked(oldest.Value.(*job))
-		s.met.CacheEvictions.Inc()
+		s.met.Evictions.Inc()
 	}
-	s.met.CacheEntries.Set(int64(s.lru.Len()))
+	s.met.Entries.Set(int64(s.lru.Len()))
 }
 
 // storeGet reads a verified result from the durable tier; nil on a
@@ -397,7 +471,7 @@ func (s *Server) removeLocked(j *job) {
 		s.lru.Remove(j.elem)
 		j.elem = nil
 	}
-	s.met.CacheEntries.Set(int64(s.lru.Len()))
+	s.met.Entries.Set(int64(s.lru.Len()))
 }
 
 // Handler mounts the HTTP surface: the /v1 job API, the health and
@@ -411,7 +485,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.Handle("/debug/", metrics.Handler(s.reg))
@@ -425,33 +499,37 @@ const maxSpecBytes = 1 << 20
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("service: reading body: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("service: reading body: %v", err))
 		return
 	}
 	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("service: job spec exceeds %d bytes", maxSpecBytes))
 		return
 	}
 	spec, err := ParseSpec(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	resp, err := s.Submit(spec)
+	var refused refusal
 	switch {
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "service: draining, not accepting jobs")
+		WriteError(w, http.StatusServiceUnavailable, "service: draining, not accepting jobs")
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "service: job queue is full, retry later")
+		WriteError(w, http.StatusTooManyRequests, "service: job queue is full, retry later")
+	case errors.As(err, &refused):
+		w.Header().Set("Retry-After", "5")
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 	case resp.Cached:
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	default:
-		writeJSON(w, http.StatusAccepted, resp)
+		WriteJSON(w, http.StatusAccepted, resp)
 	}
 }
 
@@ -459,31 +537,31 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	resp, ok := s.Status(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("service: unknown job %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("service: unknown job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	resp, ok := s.Result(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("service: unknown job %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("service: unknown job %q", id))
 		return
 	}
 	if resp == nil {
 		st, _ := s.Status(id)
 		if st != nil && st.Status == stateFailed.String() {
-			writeError(w, http.StatusInternalServerError,
+			WriteError(w, http.StatusInternalServerError,
 				fmt.Sprintf("service: job %s failed: %s", id, st.Error))
 			return
 		}
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, fmt.Sprintf("service: job %s is not finished", id))
+		WriteError(w, http.StatusConflict, fmt.Sprintf("service: job %s is not finished", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
@@ -491,29 +569,25 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 	for _, b := range kernels.Extras() {
 		names = append(names, b.Name)
 	}
-	writeJSON(w, http.StatusOK, map[string][]string{"benchmarks": names})
+	WriteJSON(w, http.StatusOK, map[string][]string{"benchmarks": names})
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as the JSON body and the given status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
-// errorBody is the uniform error envelope of the API.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, errorBody{Error: msg})
+// WriteError answers with the API's error envelope, {"error": msg}.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
 }
