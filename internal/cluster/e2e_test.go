@@ -33,11 +33,34 @@ const tinySrc = `
 // newWorker spins up one real warpd worker over httptest.
 func newWorker(t *testing.T, opt service.Options) (*httptest.Server, *metrics.Registry) {
 	t.Helper()
+	return newHeldWorker(t, opt, nil)
+}
+
+// newHeldWorker is newWorker whose job status and result reads wait
+// until release is closed (never, when release is nil): a coordinator
+// dispatching to it cannot see a job finish before then, however fast
+// the job runs.
+func newHeldWorker(t *testing.T, opt service.Options, release <-chan struct{}) (*httptest.Server, *metrics.Registry) {
+	t.Helper()
 	if opt.Metrics == nil {
 		opt.Metrics = metrics.New()
 	}
 	srv := service.New(opt)
-	ts := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	if release != nil {
+		inner := h
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { _ = srv.Drain(context.Background()) })
 	return ts, opt.Metrics
@@ -114,16 +137,22 @@ func openStore(t *testing.T, dir string) *store.Store {
 
 // TestClusterCoalescing: N concurrent identical submissions from
 // different callers produce exactly one dispatch to the pool and one
-// worker-side execution.
+// worker-side execution. The workers hold the coordinator's status
+// polls until every submission has been answered, so the job is still
+// in flight when the last one arrives, however loaded the machine.
 func TestClusterCoalescing(t *testing.T) {
-	w1, reg1 := newWorker(t, service.Options{Workers: 2, QueueDepth: 16})
-	w2, reg2 := newWorker(t, service.Options{Workers: 2, QueueDepth: 16})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	w1, reg1 := newHeldWorker(t, service.Options{Workers: 2, QueueDepth: 16}, release)
+	w2, reg2 := newHeldWorker(t, service.Options{Workers: 2, QueueDepth: 16}, release)
 	reg := metrics.New()
 	_, c := newCoordinator(t, cluster.Options{
 		Workers:       []string{w1.URL, w2.URL},
 		Metrics:       reg,
 		ProbeInterval: time.Hour,
 	})
+	t.Cleanup(open) // runs before the servers close, so no poll stays held
 	ctx := context.Background()
 
 	spec := &client.JobSpec{Source: tinySrc}
@@ -143,6 +172,7 @@ func TestClusterCoalescing(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	open()
 	for i := 1; i < n; i++ {
 		if ids[i] != ids[0] {
 			t.Fatalf("submission %d got ID %s, submission 0 got %s", i, ids[i], ids[0])

@@ -209,7 +209,7 @@ func newEngine(t *testing.T, mut func(*arch.Config)) (*Engine, *stats.Stats) {
 func TestEngineOffDoesNothing(t *testing.T) {
 	e, st := newEngine(t, func(c *arch.Config) { c.DMR = arch.DMROff })
 	for i := 0; i < 10; i++ {
-		if s := e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1, 2, 3), WarpGID: 1, Phys: simt.FullMask(32), Width: 32}); s != 0 {
+		if s := e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1, 2, 3), WarpGID: 1}); s != 0 {
 			t.Fatal("DMR-off engine stalled")
 		}
 	}
@@ -221,12 +221,12 @@ func TestEngineOffDoesNothing(t *testing.T) {
 func TestEngineTypeSwitchCoexecutesFree(t *testing.T) {
 	e, st := newEngine(t, nil)
 	// SP then LDST: the SP instruction verifies for free next cycle.
-	if s := e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1, Phys: simt.FullMask(32), Width: 32}); s != 0 {
+	if s := e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1}); s != 0 {
 		t.Fatal("first issue stalled")
 	}
 	ld := fullRec(isa.OpLD, 2, 3)
 	ld.IsMem = true
-	if s := e.Issue(IssueInfo{Rec: ld, WarpGID: 1, Phys: simt.FullMask(32), Width: 32}); s != 0 {
+	if s := e.Issue(IssueInfo{Rec: ld, WarpGID: 1}); s != 0 {
 		t.Fatal("type switch must not stall")
 	}
 	if st.ReplayCoexec != 1 {
@@ -243,7 +243,7 @@ func TestEngineTypeSwitchCoexecutesFree(t *testing.T) {
 func TestEngineSameTypeEnqueues(t *testing.T) {
 	e, st := newEngine(t, nil)
 	w := func() IssueInfo {
-		return IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1, Phys: simt.FullMask(32), Width: 32}
+		return IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1}
 	}
 	e.Issue(w())
 	e.Issue(w()) // same type: first one must be buffered
@@ -255,7 +255,7 @@ func TestEngineSameTypeEnqueues(t *testing.T) {
 func TestEngineFullQueueStalls(t *testing.T) {
 	e, st := newEngine(t, func(c *arch.Config) { c.ReplayQSize = 2; c.IdleDrain = false })
 	w := func(dst isa.Reg) IssueInfo {
-		return IssueInfo{Rec: fullRec(isa.OpIADD, dst), WarpGID: 1, Phys: simt.FullMask(32), Width: 32}
+		return IssueInfo{Rec: fullRec(isa.OpIADD, dst), WarpGID: 1}
 	}
 	stalls := 0
 	// A long same-type burst with a tiny queue must hit the eager
@@ -285,7 +285,7 @@ func TestEngineQueueNeverExceedsCapacityQuick(t *testing.T) {
 			if op == isa.OpLD || op == isa.OpST {
 				rec.IsMem = true
 			}
-			e.Issue(IssueInfo{Rec: rec, WarpGID: i % 4, Phys: simt.FullMask(32), Width: 32})
+			e.Issue(IssueInfo{Rec: rec, WarpGID: i % 4})
 			if e.QueueLen() > cap {
 				return false
 			}
@@ -301,22 +301,22 @@ func TestEngineRAWForcesVerification(t *testing.T) {
 	e, st := newEngine(t, func(c *arch.Config) { c.IdleDrain = false })
 	// Producer writes r5 and gets buffered (same-type follower).
 	prod := fullRec(isa.OpIADD, 5, 1, 2)
-	e.Issue(IssueInfo{Rec: prod, WarpGID: 7, Phys: simt.FullMask(32), Width: 32})
-	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 6, 1, 2), WarpGID: 7, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: prod, WarpGID: 7})
+	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 6, 1, 2), WarpGID: 7})
 	if e.QueueLen() != 1 {
 		t.Fatalf("producer not buffered (queue=%d)", e.QueueLen())
 	}
 	// Consumer reads r5 in the same warp: must stall and flush it.
 	cons := fullRec(isa.OpIADD, 8, 5, 1)
-	stall := e.Issue(IssueInfo{Rec: cons, WarpGID: 7, Phys: simt.FullMask(32), Width: 32})
+	stall := e.Issue(IssueInfo{Rec: cons, WarpGID: 7})
 	if stall == 0 || st.StallRAWUnverif != 1 {
 		t.Errorf("RAW on unverified producer: stall=%d counter=%d", stall, st.StallRAWUnverif)
 	}
 	// A different warp reading r5 must NOT trigger the flush.
 	e2, st2 := newEngine(t, func(c *arch.Config) { c.IdleDrain = false })
-	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 5, 1, 2), WarpGID: 7, Phys: simt.FullMask(32), Width: 32})
-	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 6, 1, 2), WarpGID: 7, Phys: simt.FullMask(32), Width: 32})
-	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 8, 5, 1), WarpGID: 9, Phys: simt.FullMask(32), Width: 32})
+	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 5, 1, 2), WarpGID: 7})
+	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 6, 1, 2), WarpGID: 7})
+	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 8, 5, 1), WarpGID: 9})
 	if st2.StallRAWUnverif != 0 {
 		t.Error("cross-warp read flushed another warp's producer")
 	}
@@ -324,8 +324,8 @@ func TestEngineRAWForcesVerification(t *testing.T) {
 
 func TestEngineIdleCycleDrains(t *testing.T) {
 	e, st := newEngine(t, nil)
-	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
-	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 2), WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1})
+	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 2), WarpGID: 1})
 	// One entry queued + one pending. Two idle cycles clear both.
 	e.IdleCycle(100)
 	e.IdleCycle(100)
@@ -340,7 +340,7 @@ func TestEngineIdleCycleDrains(t *testing.T) {
 func TestEngineDrainAtKernelEnd(t *testing.T) {
 	e, st := newEngine(t, nil)
 	for i := 0; i < 5; i++ {
-		e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, isa.Reg(i)), WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+		e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, isa.Reg(i)), WarpGID: 1})
 	}
 	cycles := e.Drain(100)
 	if cycles == 0 {
@@ -362,7 +362,7 @@ func TestEngineIntraWarpCoverage(t *testing.T) {
 	for c := 0; c < 8; c++ {
 		mask |= 0b0101 << uint(4*c)
 	}
-	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, mask), WarpGID: 1, Phys: mask, Width: 32})
+	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, mask), WarpGID: 1})
 	if st.VerifiedIntra != 16 {
 		t.Errorf("intra verified = %d, want 16", st.VerifiedIntra)
 	}
@@ -380,12 +380,7 @@ func TestEngineCoverageFormula(t *testing.T) {
 	// the RR mapping realizes this for contiguous masks.
 	e, st := newEngine(t, nil) // clusterRR
 	logical := simt.FullMask(16)
-	cfg := arch.WarpedDMRConfig()
-	var phys simt.Mask
-	for th := 0; th < 16; th++ {
-		phys |= 1 << uint(cfg.LaneForThread(th))
-	}
-	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, logical), WarpGID: 1, Phys: phys, Width: 32})
+	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, logical), WarpGID: 1})
 	if st.VerifiedIntra != 16 {
 		t.Errorf("16 contiguous threads under RR: verified %d, want 16", st.VerifiedIntra)
 	}
@@ -394,8 +389,8 @@ func TestEngineCoverageFormula(t *testing.T) {
 func TestEngineDMTRReplaysEverything(t *testing.T) {
 	e, st := newEngine(t, func(c *arch.Config) { c.DMR = arch.DMRTemporalAll })
 	half := simt.Mask(0x0000FFFF)
-	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, half), WarpGID: 1, Phys: half, Width: 32})
-	stall := e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, half), WarpGID: 1, Phys: half, Width: 32})
+	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, half), WarpGID: 1})
+	stall := e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, half), WarpGID: 1})
 	// DMTR has no queue: same-type back-to-back must stall.
 	if stall != 1 || st.StallReplayQFull != 1 {
 		t.Errorf("DMTR same-type: stall=%d counter=%d, want 1,1", stall, st.StallReplayQFull)
@@ -430,7 +425,7 @@ func TestEngineDetectsInjectedFault(t *testing.T) {
 		golden := uint32(th) + 100
 		rec.Vals[th] = perturb(cfg.LaneForThread(th), isa.UnitSP, golden)
 	}
-	e.Issue(IssueInfo{Rec: rec, WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: rec, WarpGID: 1})
 	e.IdleCycle(100) // verify the pending instruction
 
 	if st.FaultsDetected == 0 || len(events) == 0 {
@@ -464,7 +459,7 @@ func TestEngineHiddenErrorWithoutShuffle(t *testing.T) {
 		golden := uint32(th)
 		rec.Vals[th] = perturb(cfg.LaneForThread(th), isa.UnitSP, golden)
 	}
-	e.Issue(IssueInfo{Rec: rec, WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: rec, WarpGID: 1})
 	e.IdleCycle(100)
 	if st.FaultsDetected != 0 {
 		t.Error("without shuffling the stuck-at fault should hide (this is the point of lane shuffling)")
@@ -476,12 +471,7 @@ func TestEngineNarrowWarpUsesIntra(t *testing.T) {
 	// so intra-warp DMR covers it even though the block is "full".
 	e, st := newEngine(t, nil)
 	mask := simt.FullMask(16)
-	cfg := arch.WarpedDMRConfig()
-	var phys simt.Mask
-	for th := 0; th < 16; th++ {
-		phys |= 1 << uint(cfg.LaneForThread(th))
-	}
-	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, mask), WarpGID: 1, Phys: phys, Width: 16})
+	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, mask), WarpGID: 1})
 	if st.VerifiedIntra == 0 {
 		t.Error("narrow warp must use intra-warp DMR")
 	}
@@ -511,12 +501,12 @@ func TestReplayQSizing(t *testing.T) {
 
 func TestEngineCtrlResolvesPending(t *testing.T) {
 	e, st := newEngine(t, nil)
-	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1})
 	bra := &exec.Record{
 		Instr: &isa.Instr{Op: isa.OpBRA, Pred: isa.AlwaysPred()},
 		Unit:  isa.UnitCTRL, Active: simt.FullMask(32), Executing: simt.FullMask(32),
 	}
-	e.Issue(IssueInfo{Rec: bra, WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: bra, WarpGID: 1})
 	if st.ReplayCoexec != 1 || st.VerifiedInter != 32 {
 		t.Error("control instruction should free the units for the pending verify")
 	}

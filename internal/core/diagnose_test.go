@@ -80,7 +80,7 @@ func TestDiagnoserEndToEnd(t *testing.T) {
 			golden := uint32(th+i) + uint32(i)
 			rec.Vals[th] = perturb(cfg.LaneForThread(th), isa.UnitSP, golden)
 		}
-		e.Issue(IssueInfo{Rec: rec, WarpGID: i, Phys: simt.FullMask(32), Width: 32})
+		e.Issue(IssueInfo{Rec: rec, WarpGID: i})
 		e.IdleCycle(100)
 	}
 	sm, lane, conf := d.Suspect()
@@ -105,7 +105,7 @@ func TestSamplingDMRReducesCoverage(t *testing.T) {
 		for cyc := int64(0); cyc < 400; cyc++ {
 			e.Issue(IssueInfo{
 				Rec: fullRec(isa.OpIADD, isa.Reg(cyc%8)), WarpGID: 1,
-				Phys: simt.FullMask(32), Width: 32, Cycle: cyc,
+				Cycle: cyc,
 			})
 		}
 		e.Drain(100)

@@ -33,31 +33,13 @@ type ErrorEvent struct {
 }
 
 // IssueInfo describes one issued warp instruction to the DMR engine.
-// Rec may point at a Machine-owned record that is only valid during the
-// Issue call; the engine copies it by value before buffering.
+// Rec is normally the slot Next returned, which the engine keeps as is
+// when it buffers the instruction; any other record is only read during
+// the Issue call and copied into a slot if buffered.
 type IssueInfo struct {
 	Rec     *exec.Record
-	WarpGID int       // unique warp identifier within the SM
-	Phys    simt.Mask // physical-lane mask of executing lanes
-	Width   int       // lanes the warp launched with
-	Cycle   int64     // SM cycle of the issue (sampling-DMR epochs)
-}
-
-// qEntry is one unverified instruction buffered in the ReplayQ. The
-// record is stored by value — the issuing Machine reuses its record on
-// the next Step — and info.Rec is re-pointed at it on use.
-type qEntry struct {
-	info IssueInfo
-	rec  exec.Record
-}
-
-// issueInfo reconstructs the IssueInfo with Rec pointing at the
-// entry's own record copy (entries move when the queue compacts, so
-// the pointer is never stored).
-func (q *qEntry) issueInfo() IssueInfo {
-	info := q.info
-	info.Rec = &q.rec
-	return info
+	WarpGID int   // unique warp identifier within the SM
+	Cycle   int64 // SM cycle of the issue (sampling-DMR epochs)
 }
 
 // ReplayQEntryBytes is the storage for one ReplayQ entry: 32 lanes x 3
@@ -90,10 +72,15 @@ type Engine struct {
 	laneFor   [32]uint8 // thread slot -> physical lane
 	threadFor [32]uint8 // physical lane -> thread slot
 
-	q          []qEntry
-	pendingEnt qEntry // instruction "in RF" awaiting the DEC-stage type compare
-	hasPending bool
-	phase      int // lane-shuffle rotation phase
+	// Buffered instructions point into a fixed slab of records: the
+	// pending slot, the ReplayQ and the next Step destination together
+	// never hold more than ReplayQSize+2, so buffering, swapping and
+	// compacting move pointers, never records.
+	free    []*exec.Record // unused slab slots
+	next    *exec.Record   // the slot the next issue executes into
+	q       []IssueInfo    // ReplayQ, oldest first
+	pending IssueInfo      // instruction "in RF" awaiting the DEC-stage type compare; Rec nil when none
+	phase   int            // lane-shuffle rotation phase
 
 	pairBuf [32]Pairing // scratch for intra-warp RFU pairing
 }
@@ -114,9 +101,17 @@ func NewEngine(cfg arch.Config, smID int, st *stats.Stats, perturb PerturbPhys, 
 		met:     metrics.ForDMR(nil, cfg.WarpSize, cfg.ClusterSize),
 		policy:  CompilePolicy(cfg.Policy, ""),
 	}
-	if cfg.ReplayQSize > 0 {
-		e.q = make([]qEntry, 0, cfg.ReplayQSize)
+	slots := 1 // a DMR-off engine never buffers
+	if cfg.DMR != arch.DMROff {
+		slots = cfg.ReplayQSize + 2
+		e.q = make([]IssueInfo, 0, cfg.ReplayQSize)
 	}
+	slab := make([]exec.Record, slots)
+	e.free = make([]*exec.Record, 0, slots)
+	for i := 1; i < slots; i++ {
+		e.free = append(e.free, &slab[i])
+	}
+	e.next = &slab[0]
 	for t := 0; t < 32; t++ {
 		e.laneFor[t] = uint8(cfg.LaneForThread(t))
 		e.threadFor[t] = uint8(cfg.ThreadForLane(t))
@@ -151,13 +146,29 @@ func (e *Engine) QueueLen() int { return len(e.q) }
 // configured entry count (paper: 10 entries ~ 5 KB, 4% of a 128 KB RF).
 func (e *Engine) QueueSizeBytes() int { return e.cfg.ReplayQSize * ReplayQEntryBytes }
 
+// Next returns the record the SM's next Machine.Step should fill. It
+// stays the same until an Issue buffers it.
+func (e *Engine) Next() *exec.Record { return e.next }
+
 // setPending buffers the issued instruction as the pending (RF-stage)
-// entry, copying the record out of the Machine-owned slot.
+// entry. The slot Next handed out is kept as is and a free one becomes
+// Next; any other record is copied into that slot first.
 func (e *Engine) setPending(info IssueInfo) {
-	e.pendingEnt.rec = *info.Rec
-	info.Rec = nil // entries never store the caller's pointer
-	e.pendingEnt.info = info
-	e.hasPending = true
+	if info.Rec != e.next {
+		*e.next = *info.Rec
+		info.Rec = e.next
+	}
+	n := len(e.free) - 1
+	e.next = e.free[n]
+	e.free = e.free[:n]
+	e.pending = info
+}
+
+// takePending empties the pending slot and returns what it held.
+func (e *Engine) takePending() IssueInfo {
+	p := e.pending
+	e.pending = IssueInfo{}
+	return p
 }
 
 // computable reports whether an instruction's result can be recomputed
@@ -174,7 +185,7 @@ func computable(op isa.Opcode) bool {
 // waits in the RF stage, and the ReplayQ is empty or idle draining is
 // off. The simulator lets a quiescent SM with no issuable warp sleep.
 func (e *Engine) Quiescent() bool {
-	return !e.hasPending && (len(e.q) == 0 || !e.cfg.IdleDrain)
+	return e.pending.Rec == nil && (len(e.q) == 0 || !e.cfg.IdleDrain)
 }
 
 // IdleCycle informs the engine that the SM issued nothing at cycle now.
@@ -182,10 +193,9 @@ func (e *Engine) Quiescent() bool {
 // verified for free, and every unit class may drain one ReplayQ entry.
 func (e *Engine) IdleCycle(now int64) {
 	var used [3]bool
-	if e.hasPending {
-		used[e.pendingEnt.rec.Unit] = true
-		e.hasPending = false
-		e.verify(e.pendingEnt.issueInfo(), now)
+	if e.pending.Rec != nil {
+		used[e.pending.Rec.Unit] = true
+		e.verify(e.takePending(), now)
 		e.st.ReplayCoexec++
 		e.met.CoexecReplays.Inc()
 	}
@@ -201,7 +211,7 @@ func (e *Engine) drainIdleUnits(used [3]bool, now int64) {
 		return
 	}
 	for i := 0; i < len(e.q); {
-		u := e.q[i].rec.Unit
+		u := e.q[i].Rec.Unit
 		if used[u] {
 			i++
 			continue
@@ -210,7 +220,7 @@ func (e *Engine) drainIdleUnits(used [3]bool, now int64) {
 		ent := e.q[i]
 		e.q = append(e.q[:i], e.q[i+1:]...)
 		e.noteQueueDepth()
-		e.verify(ent.issueInfo(), now)
+		e.verify(ent, now)
 		e.st.ReplayIdleDrain++
 		e.met.IdleDrainReplays.Inc()
 		if used[0] && used[1] && used[2] {
@@ -231,9 +241,8 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 	// Control instructions occupy no SP/SFU/LDST unit: the pending
 	// instruction's unit is idle next cycle, verifying it for free.
 	if rec.Unit == isa.UnitCTRL || !computable(rec.Instr.Op) {
-		if e.hasPending {
-			e.hasPending = false
-			e.verify(e.pendingEnt.issueInfo(), info.Cycle)
+		if e.pending.Rec != nil {
+			e.verify(e.takePending(), info.Cycle)
 			e.st.ReplayCoexec++
 			e.met.CoexecReplays.Inc()
 		}
@@ -246,7 +255,7 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 	// Sampling DMR: outside the sampled window, resolve whatever is in
 	// flight and stop verifying new work (transients there are missed).
 	if p := e.cfg.SamplePeriod; p > 0 && info.Cycle%p >= e.cfg.SampleOn {
-		if e.hasPending {
+		if e.pending.Rec != nil {
 			stall += e.resolvePending(rec.Unit, &[3]bool{}, info.Cycle)
 		}
 		return stall
@@ -258,7 +267,7 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 	if e.policy != nil && !e.policy.Protect(PolicyFacts{WarpGID: info.WarpGID, PC: rec.PC, Active: int(eligible)}) {
 		e.st.SkippedTI += eligible
 		e.met.PolicySkipped.Add(eligible)
-		if e.hasPending {
+		if e.pending.Rec != nil {
 			stall += e.resolvePending(rec.Unit, &[3]bool{}, info.Cycle)
 		}
 		return stall
@@ -284,7 +293,7 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 	// redundant execution this cycle; the rest may drain the ReplayQ.
 	var used [3]bool
 	used[rec.Unit] = true // busy with the primary execution
-	if e.hasPending {
+	if e.pending.Rec != nil {
 		stall += e.resolvePending(rec.Unit, &used, info.Cycle)
 	}
 	e.drainIdleUnits(used, info.Cycle)
@@ -306,15 +315,14 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 // instruction given the unit type of the instruction right behind it,
 // marking any unit class it occupies with a redundant execution.
 func (e *Engine) resolvePending(curUnit isa.UnitClass, used *[3]bool, now int64) (stall int) {
-	p := &e.pendingEnt
-	e.hasPending = false
-	pUnit := p.rec.Unit
+	p := e.takePending()
+	pUnit := p.Rec.Unit
 
 	if pUnit != curUnit {
 		// Different types: the pending instruction's unit is idle next
 		// cycle; co-execute its DMR copy for free.
 		used[pUnit] = true
-		e.verify(p.issueInfo(), now+1)
+		e.verify(p, now+1)
 		e.st.ReplayCoexec++
 		e.met.CoexecReplays.Inc()
 		return 0
@@ -322,22 +330,22 @@ func (e *Engine) resolvePending(curUnit isa.UnitClass, used *[3]bool, now int64)
 	// Same type: try to swap with a different-type ReplayQ entry.
 	if !e.dmtr {
 		for i := range e.q {
-			u := e.q[i].rec.Unit
+			u := e.q[i].Rec.Unit
 			if u != pUnit && !used[u] {
 				ent := e.q[i]
 				e.q = append(e.q[:i], e.q[i+1:]...)
-				e.q = append(e.q, *p)
+				e.q = append(e.q, p)
 				e.st.ReplayEnq++
 				e.noteEnqueue()
 				used[u] = true
-				e.verify(ent.issueInfo(), now+1)
+				e.verify(ent, now+1)
 				e.st.ReplayCoexec++
 				e.met.CoexecReplays.Inc()
 				return 0
 			}
 		}
 		if len(e.q) < e.cfg.ReplayQSize {
-			e.q = append(e.q, *p)
+			e.q = append(e.q, p)
 			e.st.ReplayEnq++
 			e.noteEnqueue()
 			return 0
@@ -345,7 +353,7 @@ func (e *Engine) resolvePending(curUnit isa.UnitClass, used *[3]bool, now int64)
 	}
 	// ReplayQ full (or absent): eager re-execution with a one-cycle
 	// pipeline stall, reusing operands still live in the pipeline.
-	e.verify(p.issueInfo(), now+1)
+	e.verify(p, now+1)
 	e.st.StallReplayQFull++
 	e.met.OverflowStalls.Inc()
 	return 1
@@ -369,19 +377,19 @@ func (e *Engine) verifyRAWProducers(info IssueInfo) (stall int) {
 	if len(reads) == 0 {
 		return 0
 	}
-	hits := func(ent *qEntry) bool {
-		if ent.info.WarpGID != info.WarpGID || !ent.rec.DstValid {
+	hits := func(ent *IssueInfo) bool {
+		if ent.WarpGID != info.WarpGID || !ent.Rec.DstValid {
 			return false
 		}
 		for _, r := range reads {
-			if r == ent.rec.Dst {
+			if r == ent.Rec.Dst {
 				return true
 			}
 		}
 		return false
 	}
 	// Fast path: no RAW hazard buffered (the common case) — leave the
-	// queue untouched instead of copying every entry through compaction.
+	// queue untouched instead of moving every entry through compaction.
 	first := -1
 	for i := range e.q {
 		if hits(&e.q[i]) {
@@ -396,7 +404,7 @@ func (e *Engine) verifyRAWProducers(info IssueInfo) (stall int) {
 	for i := first; i < len(e.q); i++ {
 		ent := &e.q[i]
 		if hits(ent) {
-			e.verify(ent.issueInfo(), info.Cycle)
+			e.verify(*ent, info.Cycle)
 			e.st.StallRAWUnverif++
 			e.met.RAWFlushStalls.Inc()
 			stall++
@@ -413,16 +421,15 @@ func (e *Engine) verifyRAWProducers(info IssueInfo) (stall int) {
 // kernel completion (starting at cycle `at`), returning the cycles
 // consumed — one per replay, on the now-idle units.
 func (e *Engine) Drain(at int64) (cycles int) {
-	if e.hasPending {
+	if e.pending.Rec != nil {
 		cycles++
-		e.hasPending = false
-		e.verify(e.pendingEnt.issueInfo(), at+int64(cycles))
+		e.verify(e.takePending(), at+int64(cycles))
 		e.st.ReplayCoexec++
 		e.met.CoexecReplays.Inc()
 	}
 	for i := range e.q {
 		cycles++
-		e.verify(e.q[i].issueInfo(), at+int64(cycles))
+		e.verify(e.q[i], at+int64(cycles))
 		e.st.ReplayIdleDrain++
 		e.met.IdleDrainReplays.Inc()
 	}
@@ -438,13 +445,22 @@ func (e *Engine) intraWarp(info IssueInfo) {
 	if rec.Executing == 0 {
 		return
 	}
-	pairs, covered := e.table.PairWarpInto(info.Phys, e.cfg.WarpSize, e.pairBuf[:0])
+	// Pairing works on physical lanes: map the executing thread slots
+	// through the configured thread->lane mapping.
+	phys := rec.Executing
+	if e.cfg.Mapping != arch.MapLinear {
+		phys = 0
+		for rem := uint32(rec.Executing); rem != 0; rem &= rem - 1 {
+			phys |= 1 << e.laneFor[bits.TrailingZeros32(rem)]
+		}
+	}
+	pairs, covered := e.table.PairWarpInto(phys, e.cfg.WarpSize, e.pairBuf[:0])
 	e.st.VerifiedIntra += int64(covered)
 	e.st.RedundantOps[rec.Unit] += int64(len(pairs))
 	e.met.IntraVerified.Add(int64(covered))
 	e.met.RFUPairings.Add(int64(len(pairs)))
 	e.met.RFUCoveredLanes.Add(int64(covered))
-	if missed := info.Phys.Count() - covered; missed > 0 {
+	if missed := phys.Count() - covered; missed > 0 {
 		e.met.RFUMissedLanes.Add(int64(missed))
 	}
 	for _, p := range pairs {
@@ -479,7 +495,8 @@ func (e *Engine) intraWarp(info IssueInfo) {
 
 // verify performs the temporal redundant execution of a buffered or
 // pending instruction, with lane shuffling so the replay runs on a
-// different physical lane than the original (hidden-error avoidance).
+// different physical lane than the original (hidden-error avoidance),
+// then returns its slab slot to the free list.
 func (e *Engine) verify(info IssueInfo, at int64) {
 	rec := info.Rec
 	if at < info.Cycle {
@@ -532,4 +549,5 @@ func (e *Engine) verify(info IssueInfo, at int64) {
 			}
 		}
 	}
+	e.free = append(e.free, rec)
 }

@@ -24,13 +24,14 @@ func TestMachineStepZeroAllocs(t *testing.T) {
 		isa.Instr{Op: isa.OpEXIT},
 	)
 	m, ws := newTestMachine(t, p, 32, newCtx(), nil)
+	rec := new(Record)
 	for i := 0; i < 64; i++ { // reach steady state
-		if _, err := m.Step(ws); err != nil {
+		if err := m.Step(ws, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(2000, func() {
-		if _, err := m.Step(ws); err != nil {
+		if err := m.Step(ws, rec); err != nil {
 			t.Fatal(err)
 		}
 	})

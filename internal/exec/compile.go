@@ -15,7 +15,7 @@ type laneFn func(a, b, c uint32) uint32
 // stepFn applies one pre-decoded instruction to a warp. Each opcode
 // family binds its own step function at compile time, so the per-cycle
 // path is a single indirect call instead of a switch walk.
-type stepFn func(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error)
+type stepFn func(m *Machine, d *Decoded, ws *WarpState, rec *Record) error
 
 // srcOp is a pre-resolved source operand: either an immediate or a
 // 32-lane window into the register slab, computed once at compile time.

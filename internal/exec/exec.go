@@ -106,9 +106,8 @@ type Perturb func(thread int, unit isa.UnitClass, golden uint32) uint32
 // (core.PolicyFacts): both are computed during the step regardless, so
 // arming a policy adds no work here.
 //
-// Machine.Step returns a Machine-owned Record that is reused on the
-// next call; its per-lane arrays are only meaningful for Executing
-// lanes. Copy the Record by value to keep it past the next Step.
+// Machine.Step fills a caller-supplied Record; its per-lane arrays are
+// only meaningful for Executing lanes.
 type Record struct {
 	PC        int
 	Instr     *isa.Instr

@@ -221,12 +221,11 @@ func stepProgram(t *testing.T, src *isa.Program, width int, mm Mem, perturb Pert
 		if steps > 10000 {
 			t.Fatal("program did not terminate")
 		}
-		rec, err := m.Step(ws)
-		if err != nil {
+		rec := new(Record)
+		if err := m.Step(ws, rec); err != nil {
 			t.Fatal(err)
 		}
-		cp := *rec // Machine reuses its Record; keep a value copy
-		recs = append(recs, &cp)
+		recs = append(recs, rec)
 	}
 	return ws.Ctl, ws.Regs, recs
 }
@@ -415,10 +414,11 @@ func TestStepMemFaultSurfaces(t *testing.T) {
 		isa.Instr{Op: isa.OpEXIT},
 	)
 	m, ws := newTestMachine(t, p, 1, ctx, nil)
-	if _, err := m.Step(ws); err != nil {
+	var rec Record
+	if err := m.Step(ws, &rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Step(ws); err == nil {
+	if err := m.Step(ws, &rec); err == nil {
 		t.Error("out-of-range load must surface an error")
 	}
 }
@@ -484,8 +484,8 @@ func TestStepBarrierRecord(t *testing.T) {
 		isa.Instr{Op: isa.OpEXIT},
 	)
 	m, ws := newTestMachine(t, p, 32, newCtx(), nil)
-	rec, err := m.Step(ws)
-	if err != nil {
+	var rec Record
+	if err := m.Step(ws, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if !rec.IsBarrier || !ws.Ctl.AtBarrier {
@@ -527,7 +527,7 @@ func TestStepBadPC(t *testing.T) {
 	p := mustProg(t, isa.Instr{Op: isa.OpNOP}, isa.Instr{Op: isa.OpEXIT})
 	m, ws := newTestMachine(t, p, 32, newCtx(), nil)
 	ws.Ctl.Jump(99)
-	if _, err := m.Step(ws); err == nil {
+	if err := m.Step(ws, new(Record)); err == nil {
 		t.Error("out-of-range PC must error")
 	}
 }

@@ -49,10 +49,10 @@ type Opts struct {
 // one Machine per SM per launch, then call Step once per issued warp
 // instruction.
 //
-// The Record returned by Step is owned by the Machine and reused on the
-// next call — the steady-state issue path allocates nothing. Consumers
-// that buffer a record past the next Step (the DMR replay queue, trace
-// sinks) must copy it by value.
+// Step writes into a Record the caller supplies, so whoever keeps a
+// record past the next Step owns its storage: the simulator steps into
+// a slot of the DMR engine's slab (core.Engine.Next), and the engine
+// buffers that slot without copying it.
 type Machine struct {
 	code     []Decoded
 	prog     *isa.Program
@@ -60,7 +60,6 @@ type Machine struct {
 	banks    int
 	met      *metrics.Exec
 	perturb  Perturb
-	rec      Record
 }
 
 // NewMachine builds a Machine over a compiled program.
@@ -84,19 +83,18 @@ func (m *Machine) SetMetrics(em *metrics.Exec) { m.met = em }
 // SetPerturb replaces the fault-injection hook.
 func (m *Machine) SetPerturb(p Perturb) { m.perturb = p }
 
-// Step executes the instruction at the warp's current PC and updates
-// warp control state, registers, and memory. The returned Record is
-// valid until the next Step call on this Machine.
-func (m *Machine) Step(ws *WarpState) (*Record, error) {
+// Step executes the instruction at the warp's current PC, updates warp
+// control state, registers, and memory, and describes the execution in
+// rec.
+func (m *Machine) Step(ws *WarpState, rec *Record) error {
 	pc := ws.Ctl.PC()
 	if pc < 0 || pc >= len(m.code) {
-		return nil, fmt.Errorf("exec: PC %d out of range in kernel %s", pc, m.prog.Name)
+		return fmt.Errorf("exec: PC %d out of range in kernel %s", pc, m.prog.Name)
 	}
 	d := &m.code[pc]
-	rec := &m.rec
 	// Reset the scalar fields only: the per-lane arrays (SrcVals, Vals,
 	// Addrs) are always read under the Executing mask, so stale lanes
-	// from the previous instruction are never observed.
+	// from whatever rec held before are never observed.
 	rec.PC = pc
 	rec.Instr = d.Instr
 	rec.Dec = d
@@ -118,7 +116,7 @@ func (m *Machine) Step(ws *WarpState) (*Record, error) {
 }
 
 // Branches use the guard as the branch condition.
-func stepBranch(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
+func stepBranch(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	rec.IsBranch = true
 	active := rec.Active
 	taken := guardMask(ws.Regs, d.Pred, active)
@@ -138,16 +136,16 @@ func stepBranch(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, er
 	default:
 		rec.Divergent = true
 		if err := ws.Ctl.Diverge(taken, active, d.Target, rec.PC+1, d.Reconv); err != nil {
-			return nil, fmt.Errorf("exec: kernel %s pc %d: %w", m.prog.Name, rec.PC, err)
+			return fmt.Errorf("exec: kernel %s pc %d: %w", m.prog.Name, rec.PC, err)
 		}
 		if m.met != nil {
 			m.met.DivergentBranches.Inc()
 		}
 	}
-	return rec, nil
+	return nil
 }
 
-func stepExit(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
+func stepExit(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	executing := guardMask(ws.Regs, d.Pred, rec.Active)
 	rec.Executing = executing
 	rec.IsExit = true
@@ -156,25 +154,25 @@ func stepExit(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, erro
 	} else {
 		ws.Ctl.Advance()
 	}
-	return rec, nil
+	return nil
 }
 
-func stepBarrier(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
+func stepBarrier(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	executing := guardMask(ws.Regs, d.Pred, rec.Active)
 	rec.Executing = executing
 	rec.IsBarrier = true
 	ws.Ctl.AtBarrier = true
 	ws.Ctl.Advance()
-	return rec, nil
+	return nil
 }
 
-func stepNOP(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
+func stepNOP(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	rec.Executing = guardMask(ws.Regs, d.Pred, rec.Active)
 	ws.Ctl.Advance()
-	return rec, nil
+	return nil
 }
 
-func stepPredLogic(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
+func stepPredLogic(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	r := ws.Regs
 	executing := guardMask(r, d.Pred, rec.Active)
 	rec.Executing = executing
@@ -186,10 +184,10 @@ func stepPredLogic(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record,
 	}
 	r.Pred[d.PDst] = (r.Pred[d.PDst] &^ executing) | (res & executing)
 	ws.Ctl.Advance()
-	return rec, nil
+	return nil
 }
 
-func stepSETP(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
+func stepSETP(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	r := ws.Regs
 	executing := guardMask(r, d.Pred, rec.Active)
 	rec.Executing = executing
@@ -219,13 +217,13 @@ func stepSETP(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, erro
 	}
 	r.Pred[d.PDst] = (r.Pred[d.PDst] &^ executing) | (pres & executing)
 	ws.Ctl.Advance()
-	return rec, nil
+	return nil
 }
 
 // stepData executes SP/SFU data ops (including SELP): capture sources,
 // compute per lane through the pre-bound function, apply perturbation,
 // write the destination window.
-func stepData(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
+func stepData(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	r := ws.Regs
 	executing := guardMask(r, d.Pred, rec.Active)
 	rec.Executing = executing
@@ -287,10 +285,10 @@ func stepData(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, erro
 		}
 	}
 	ws.Ctl.Advance()
-	return rec, nil
+	return nil
 }
 
-func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
+func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	r := ws.Regs
 	executing := guardMask(r, d.Pred, rec.Active)
 	rec.Executing = executing
@@ -346,7 +344,7 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 			lane := bits.TrailingZeros32(rem)
 			v, err := ws.load32(d.Space, rec.Addrs[lane])
 			if err != nil {
-				return nil, fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
+				return fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
 			}
 			dst[lane] = v
 		}
@@ -357,7 +355,7 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 		for rem := uint32(executing); rem != 0; rem &= rem - 1 {
 			lane := bits.TrailingZeros32(rem)
 			if err := ws.store32(d.Space, rec.Addrs[lane], rec.SrcVals[1][lane]); err != nil {
-				return nil, fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
+				return fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
 			}
 		}
 	case isa.OpATOM:
@@ -376,15 +374,15 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 				old, err = ws.Mem.Global.AtomicAdd32(rec.Addrs[lane], rec.SrcVals[1][lane])
 			}
 			if err != nil {
-				return nil, fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
+				return fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
 			}
 			dst[lane] = old
 		}
 	default:
-		return nil, fmt.Errorf("exec: pc %d: %s is not a memory op", rec.PC, d.Op)
+		return fmt.Errorf("exec: pc %d: %s is not a memory op", rec.PC, d.Op)
 	}
 	ws.Ctl.Advance()
-	return rec, nil
+	return nil
 }
 
 func (ws *WarpState) load32(space isa.MemSpace, addr uint32) (uint32, error) {

@@ -141,14 +141,12 @@ func bitrev(x, bits int) int {
 	return r
 }
 
-func buildFFT(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(fftSrc)
-	if err != nil {
-		return nil, err
-	}
+// fftInput returns the fixed input signal: fftBlocks rows of fftN
+// complex points, real and imaginary parts in [-1, 1).
+func fftInput() (re, im [][]float32) {
 	rng := rand.New(rand.NewSource(87))
-	re := make([][]float32, fftBlocks)
-	im := make([][]float32, fftBlocks)
+	re = make([][]float32, fftBlocks)
+	im = make([][]float32, fftBlocks)
 	for bl := range re {
 		re[bl] = make([]float32, fftN)
 		im[bl] = make([]float32, fftN)
@@ -157,6 +155,42 @@ func buildFFT(g *sim.GPU) (*Run, error) {
 			im[bl][i] = rng.Float32()*2 - 1
 		}
 	}
+	return re, im
+}
+
+// fftTwiddle holds exp(-2πi·m/fftN) for m in [0, fftN): the DFT term
+// exp(-2πi·k·n/fftN) depends only on k·n mod fftN.
+var fftTwiddle = func() (t [fftN]complex128) {
+	for m := range t {
+		ang := -2 * math.Pi * float64(m) / fftN
+		t[m] = complex(math.Cos(ang), math.Sin(ang))
+	}
+	return t
+}()
+
+// fftReference is the host reference: the direct O(N²) DFT of one row,
+// X[k] = Σ x[n]·exp(-2πi·k·n/N), with twiddles read from fftTwiddle.
+func fftReference(re, im []float32) (wr, wi [fftN]float64) {
+	for k := 0; k < fftN; k++ {
+		var sr, si float64
+		for n := 0; n < fftN; n++ {
+			w := fftTwiddle[k*n%fftN]
+			c, s := real(w), imag(w)
+			xr, xi := float64(re[n]), float64(im[n])
+			sr += xr*c - xi*s
+			si += xr*s + xi*c
+		}
+		wr[k], wi[k] = sr, si
+	}
+	return wr, wi
+}
+
+func buildFFT(g *sim.GPU) (*Run, error) {
+	prog, err := asm.Assemble(fftSrc)
+	if err != nil {
+		return nil, err
+	}
+	re, im := fftInput()
 	data := g.Mem.MustAlloc(fftBlocks * fftN * 2 * 4)
 	bits := 0
 	for 1<<bits < fftN {
@@ -186,19 +220,12 @@ func buildFFT(g *sim.GPU) (*Run, error) {
 			if err != nil {
 				return err
 			}
+			wr, wi := fftReference(re[bl], im[bl])
 			for kk := 0; kk < fftN; kk++ {
-				var wr, wi float64
-				for n := 0; n < fftN; n++ {
-					ang := -2 * math.Pi * float64(kk) * float64(n) / fftN
-					c, s := math.Cos(ang), math.Sin(ang)
-					xr, xi := float64(re[bl][n]), float64(im[bl][n])
-					wr += xr*c - xi*s
-					wi += xr*s + xi*c
-				}
 				gr, gi := float64(got[kk]), float64(got[fftN+kk])
-				if math.Abs(gr-wr) > 0.05 || math.Abs(gi-wi) > 0.05 {
+				if math.Abs(gr-wr[kk]) > 0.05 || math.Abs(gi-wi[kk]) > 0.05 {
 					return fmt.Errorf("block %d bin %d = (%g,%g), want (%g,%g)",
-						bl, kk, gr, gi, wr, wi)
+						bl, kk, gr, gi, wr[kk], wi[kk])
 				}
 			}
 		}

@@ -105,9 +105,24 @@ func Map[T any](ctx context.Context, opt Options, n int, fn func(ctx context.Con
 	results := make([]T, n)
 	errs := make([]error, n)
 	var next atomic.Int64
-	var mu sync.Mutex // serializes OnProgress
-	completed := 0
 	met := metrics.ForRunner(opt.Metrics)
+
+	// One goroutine makes every OnProgress call, so the calls are
+	// serialized and done counts up without a worker ever waiting on
+	// the callback.
+	var progress, progressDone chan struct{}
+	if opt.OnProgress != nil {
+		progress = make(chan struct{}, n) // one send per task: never blocks
+		progressDone = make(chan struct{})
+		go func() {
+			defer close(progressDone)
+			done := 0
+			for range progress {
+				done++
+				opt.OnProgress(done, n)
+			}
+		}()
+	}
 
 	var wg sync.WaitGroup
 	for w := opt.workers(n); w > 0; w-- {
@@ -143,17 +158,17 @@ func Map[T any](ctx context.Context, opt Options, n int, fn func(ctx context.Con
 				if errs[i] != nil && !opt.ContinueOnError {
 					cancel()
 				}
-				if opt.OnProgress != nil {
-					mu.Lock()
-					completed++
-					done := completed
-					mu.Unlock()
-					opt.OnProgress(done, n)
+				if progress != nil {
+					progress <- struct{}{}
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if progress != nil {
+		close(progress)
+		<-progressDone
+	}
 
 	// Deterministic error selection: prefer the lowest-index error that
 	// is not mere cancellation fallout; fall back to the lowest-index

@@ -75,11 +75,12 @@ func refWalk(prog *isa.Program, mm exec.Mem) error {
 	}
 	r.SetSpecial(isa.RegTIDX, tid)
 	ws := &exec.WarpState{Ctl: simt.NewWarp(0, 0, 32), Regs: r, Mem: mm}
+	var rec exec.Record
 	for steps := 0; !ws.Ctl.Done(); steps++ {
 		if steps > 200000 {
 			return fmt.Errorf("reference walk did not terminate")
 		}
-		if _, err := m.Step(ws); err != nil {
+		if err := m.Step(ws, &rec); err != nil {
 			return err
 		}
 	}

@@ -8,7 +8,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"warped/internal/arch"
 	"warped/internal/cache"
@@ -581,8 +580,10 @@ func (s *sm) pick(sched int, now int64) (*warpCtx, int64) {
 func (s *sm) issue(wc *warpCtx, sched int, now int64) {
 	s.issueNow = now
 	s.issuePC = wc.ws.Ctl.PC()
-	rec, err := s.machine.Step(&wc.ws)
-	if err != nil {
+	// Step into the engine's next slab slot, so that buffering the
+	// record for a DMR replay copies nothing.
+	rec := s.engine.Next()
+	if err := s.machine.Step(&wc.ws, rec); err != nil {
 		s.err = fmt.Errorf("sm%d block %d warp %d: %w", s.id, wc.block.id, wc.ws.Ctl.ID, err)
 		return
 	}
@@ -674,28 +675,7 @@ func (s *sm) issue(wc *warpCtx, sched int, now int64) {
 	}
 
 	// --- Warped-DMR hook ---
-	s.stall += s.engine.Issue(core.IssueInfo{
-		Rec:     rec,
-		WarpGID: wc.gid,
-		Phys:    s.physMask(rec.Executing),
-		Width:   wc.ws.Ctl.Width(),
-		Cycle:   now,
-	})
-}
-
-// physMask converts a logical thread-slot mask to a physical-lane mask
-// under the configured thread->core mapping, via the pre-resolved
-// lane table.
-func (s *sm) physMask(logical simt.Mask) simt.Mask {
-	if s.cfg.Mapping == arch.MapLinear {
-		return logical
-	}
-	var out simt.Mask
-	for rem := uint32(logical); rem != 0; rem &= rem - 1 {
-		t := bits.TrailingZeros32(rem)
-		out |= 1 << uint(s.laneFor[t])
-	}
-	return out
+	s.stall += s.engine.Issue(core.IssueInfo{Rec: rec, WarpGID: wc.gid, Cycle: now})
 }
 
 func (s *sm) maybeReleaseBarrier(b *blockCtx) {
