@@ -83,6 +83,7 @@ type Engine struct {
 	phase   int            // lane-shuffle rotation phase
 
 	pairBuf [32]Pairing // scratch for intra-warp RFU pairing
+	redo    [32]uint32  // scratch for a replay's redundant results
 }
 
 // NewEngine builds the DMR engine for SM smID. st must not be nil;
@@ -468,15 +469,14 @@ func (e *Engine) intraWarp(info IssueInfo) {
 			e.met.ClusterPairings[c].Inc()
 		}
 	}
+	if len(pairs) == 0 || !rec.Recompute(&e.redo) {
+		return
+	}
 	for _, p := range pairs {
 		thread := int(e.threadFor[p.Active])
-		golden, ok := rec.Recompute(rec.SrcVals[0][thread], rec.SrcVals[1][thread], rec.SrcVals[2][thread])
-		if !ok {
-			continue
-		}
-		red := golden
+		red := e.redo[thread]
 		if e.perturb != nil {
-			red = e.perturb(p.Idle, rec.Unit, golden)
+			red = e.perturb(p.Idle, rec.Unit, red)
 		}
 		if red != rec.Vals[thread] {
 			e.st.FaultsDetected++
@@ -517,6 +517,7 @@ func (e *Engine) verify(info IssueInfo, at int64) {
 		cmask = e.cfg.ClusterSize - 1
 		rot = 1 + e.phase%(e.cfg.ClusterSize-1)
 	}
+	computable := rec.Recompute(&e.redo)
 	for rem := uint32(rec.Executing); rem != 0; rem &= rem - 1 {
 		thread := bits.TrailingZeros32(rem)
 		orig := int(e.laneFor[thread])
@@ -528,13 +529,12 @@ func (e *Engine) verify(info IssueInfo, at int64) {
 		if verif < len(e.met.ShuffleLaneUsed) {
 			e.met.ShuffleLaneUsed[verif].Inc()
 		}
-		golden, ok := rec.Recompute(rec.SrcVals[0][thread], rec.SrcVals[1][thread], rec.SrcVals[2][thread])
-		if !ok {
+		if !computable {
 			continue
 		}
-		red := golden
+		red := e.redo[thread]
 		if e.perturb != nil {
-			red = e.perturb(verif, rec.Unit, golden)
+			red = e.perturb(verif, rec.Unit, red)
 		}
 		if red != rec.Vals[thread] {
 			e.st.FaultsDetected++

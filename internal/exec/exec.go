@@ -4,11 +4,12 @@
 // and control state.
 //
 // Programs are lowered once per launch by Compile into a flat stream of
-// Decoded instructions (per-op step/compute functions, packed operand
-// windows); the timing simulator (internal/sim) builds one Machine per
-// SM and calls Machine.Step at issue time ("execute-at-issue").
-// Warped-DMR (internal/core) reuses the pre-bound compute functions via
-// Record.Recompute to redundantly re-execute lanes and compare results.
+// Decoded instructions (per-op step functions and warp kernels, packed
+// operand windows); the timing simulator (internal/sim) builds one
+// Machine per SM and calls Machine.Step at issue time
+// ("execute-at-issue"). Warped-DMR (internal/core) re-runs the same warp
+// kernels via Record.Recompute to redundantly re-execute lanes and
+// compare results.
 package exec
 
 import (
@@ -106,8 +107,10 @@ type Perturb func(thread int, unit isa.UnitClass, golden uint32) uint32
 // (core.PolicyFacts): both are computed during the step regardless, so
 // arming a policy adds no work here.
 //
-// Machine.Step fills a caller-supplied Record; its per-lane arrays are
-// only meaningful for Executing lanes.
+// Machine.Step fills a caller-supplied Record. A data, SETP or memory
+// step writes all 32 lanes of each SrcVals slot its opcode reads, but
+// only the Executing lanes of SrcVals and Vals are meaningful: the
+// others hold whatever the warp kernel or an earlier step left there.
 type Record struct {
 	PC        int
 	Instr     *isa.Instr
@@ -119,14 +122,18 @@ type Record struct {
 	// Per-lane operand values captured at issue, for DMR re-execution.
 	SrcVals [3][32]uint32
 
-	// Result values per lane (SP/SFU data ops), or effective addresses
-	// (LD/ST/ATOM). Valid only for Executing lanes.
+	// Result values per lane (SP/SFU data ops; 0/1 for SETP), or
+	// effective addresses (LD/ST/ATOM). Valid only for Executing lanes.
 	Vals [32]uint32
 
-	// Memory behaviour (LD/ST/ATOM only).
+	// Memory behaviour (LD/ST/ATOM only; the addresses are in Vals).
+	// SegBases[:NumSegs] are the distinct coalesced segment base
+	// addresses of a global or local access, in order of first use by
+	// ascending lane: one memory transaction each. NumSegs is 0 for
+	// shared and param accesses.
 	IsMem    bool
-	Addrs    [32]uint32
-	Segments int // coalesced transaction count (global/local)
+	SegBases [32]uint32
+	NumSegs  int
 	BankSer  int // shared-memory serialization factor
 	IsStore  bool
 
@@ -142,19 +149,24 @@ type Record struct {
 	Dst      isa.Reg
 }
 
-// Recompute re-evaluates one lane of the recorded instruction from raw
-// source values — the DMR layer's redundant execution. It dispatches
-// through the pre-bound compute function when the record came from a
-// Machine, falling back to interpreted Compute for hand-built records.
-// ok is false for opcodes that are not lane-computable.
-func (r *Record) Recompute(a, b, c uint32) (uint32, bool) {
+// Recompute re-executes the recorded instruction from its captured
+// source operands into out — the DMR layer's redundant execution. It
+// runs the warp kernel Step ran, once for the whole warp; only the
+// Executing lanes of out are meaningful. Records built by hand (Dec nil)
+// look the kernel up from Instr. ok is false for opcodes that are not
+// lane-computable (control and predicate-file ops).
+func (r *Record) Recompute(out *[32]uint32) (ok bool) {
+	var k warpKernel
 	if r.Dec != nil {
-		if r.Dec.compute == nil {
-			return 0, false
-		}
-		return r.Dec.compute(a, b, c), true
+		k = r.Dec.kernel
+	} else {
+		k = kernelFor(r.Instr)
 	}
-	return Compute(r.Instr, a, b, c)
+	if k == nil {
+		return false
+	}
+	k(out, &r.SrcVals[0], &r.SrcVals[1], &r.SrcVals[2], r.Executing)
+	return true
 }
 
 // SrcRegs returns the general registers the recorded instruction reads,
@@ -179,48 +191,17 @@ func guardMask(r *Regs, pred isa.PredRef, active simt.Mask) simt.Mask {
 }
 
 // Compute evaluates one lane of a data-processing opcode from raw
-// source values. It must stay a pure function: the DMR layer calls it
-// again on a different physical lane and compares results. ok is false
-// for opcodes that are not lane-computable (control, barriers).
-//
-// Compute dispatches through the same laneFns table the pre-decoded
-// pipeline executes, so the two paths share one implementation.
+// source values, through the same warp kernel Machine.Step runs. For
+// LD/ST/ATOM the value is the effective address (what DMR verifies for
+// memory ops). ok is false for opcodes that are not lane-computable
+// (control, barriers, predicate-file ops).
 func Compute(in *isa.Instr, a, b, c uint32) (val uint32, ok bool) {
-	switch in.Op {
-	case isa.OpSETP:
-		return setpCompute(in.Cmp, in.CmpTy, a, b), true
-	case isa.OpLD, isa.OpST, isa.OpATOM:
-		// Effective address computation (what DMR verifies for memory ops).
-		return a + uint32(in.Off), true
-	case isa.OpNOP, isa.OpPAND, isa.OpPNOT, isa.OpBRA, isa.OpBAR, isa.OpEXIT:
-		// Control and predicate-file ops have no lane-computable result;
-		// the DMR layer verifies them by other means (or not at all).
+	k := kernelFor(in)
+	if k == nil {
 		return 0, false
-	case isa.OpMOV, isa.OpIADD, isa.OpISUB, isa.OpIMUL, isa.OpIMAD, isa.OpIMIN,
-		isa.OpIMAX, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpNOT, isa.OpSHL,
-		isa.OpSHR, isa.OpSAR, isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFFMA,
-		isa.OpFMIN, isa.OpFMAX, isa.OpFNEG, isa.OpFABS, isa.OpI2F, isa.OpF2I,
-		isa.OpSELP, isa.OpFSIN, isa.OpFCOS, isa.OpFSQRT, isa.OpFRSQRT,
-		isa.OpFRCP, isa.OpFEX2, isa.OpFLG2, isa.OpFDIV:
-		return laneFns[in.Op](a, b, c), true
 	}
-	return 0, false
-}
-
-func cmpOrd(c isa.CmpOp, a, b int64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
-	}
-	return false
+	var v, sa, sb, sc [32]uint32
+	sa[0], sb[0], sc[0] = a, b, c
+	k(&v, &sa, &sb, &sc, 1)
+	return v[0], true
 }

@@ -195,7 +195,7 @@ func TestComputeAlgebraQuick(t *testing.T) {
 
 // newTestMachine compiles src and builds a Machine plus a ready warp
 // state over the given memories.
-func newTestMachine(t *testing.T, src *isa.Program, width int, mm Mem, perturb Perturb) (*Machine, *WarpState) {
+func newTestMachine(t testing.TB, src *isa.Program, width int, mm Mem, perturb Perturb) (*Machine, *WarpState) {
 	t.Helper()
 	c, err := Compile(src)
 	if err != nil {
@@ -238,7 +238,7 @@ func newCtx() Mem {
 	}
 }
 
-func mustProg(t *testing.T, instrs ...isa.Instr) *isa.Program {
+func mustProg(t testing.TB, instrs ...isa.Instr) *isa.Program {
 	t.Helper()
 	for i := range instrs {
 		if instrs[i].Pred == (isa.PredRef{}) {
@@ -310,8 +310,8 @@ func TestStepMemoryRoundTrip(t *testing.T) {
 		}
 	}
 	st := recs[3]
-	if !st.IsMem || !st.IsStore || st.Segments != 1 {
-		t.Errorf("unit-stride store: segments = %d, want 1", st.Segments)
+	if !st.IsMem || !st.IsStore || st.NumSegs != 1 || st.SegBases[0] != base {
+		t.Errorf("unit-stride store: segments = %v, want [%#x]", st.SegBases[:st.NumSegs], base)
 	}
 }
 

@@ -80,9 +80,6 @@ func (m *Machine) Code() []Decoded { return m.code }
 // SetMetrics replaces the pre-resolved exec instrument set.
 func (m *Machine) SetMetrics(em *metrics.Exec) { m.met = em }
 
-// SetPerturb replaces the fault-injection hook.
-func (m *Machine) SetPerturb(p Perturb) { m.perturb = p }
-
 // Step executes the instruction at the warp's current PC, updates warp
 // control state, registers, and memory, and describes the execution in
 // rec.
@@ -92,9 +89,10 @@ func (m *Machine) Step(ws *WarpState, rec *Record) error {
 		return fmt.Errorf("exec: PC %d out of range in kernel %s", pc, m.prog.Name)
 	}
 	d := &m.code[pc]
-	// Reset the scalar fields only: the per-lane arrays (SrcVals, Vals,
-	// Addrs) are always read under the Executing mask, so stale lanes
-	// from whatever rec held before are never observed.
+	// Reset the scalar fields only: the per-lane arrays (SrcVals, Vals)
+	// are always read under the Executing mask and SegBases under
+	// NumSegs, so stale lanes from whatever rec held before are never
+	// observed.
 	rec.PC = pc
 	rec.Instr = d.Instr
 	rec.Dec = d
@@ -102,7 +100,7 @@ func (m *Machine) Step(ws *WarpState, rec *Record) error {
 	rec.Active = ws.Ctl.ActiveMask()
 	rec.Executing = 0
 	rec.IsMem = false
-	rec.Segments = 0
+	rec.NumSegs = 0
 	rec.BankSer = 0
 	rec.IsStore = false
 	rec.IsBranch = false
@@ -191,26 +189,12 @@ func stepSETP(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	r := ws.Regs
 	executing := guardMask(r, d.Pred, rec.Active)
 	rec.Executing = executing
-	lanes0, imm0 := d.src[0].view(r)
-	lanes1, imm1 := d.src[1].view(r)
-	fn := d.compute
+	d.src[0].gather(r, &rec.SrcVals[0])
+	d.src[1].gather(r, &rec.SrcVals[1])
+	d.kernel(&rec.Vals, &rec.SrcVals[0], &rec.SrcVals[1], &rec.SrcVals[2], executing)
+	m.perturbLanes(d.Unit, executing, &rec.Vals)
 	var pres simt.Mask
-	for rem := uint32(executing); rem != 0; rem &= rem - 1 {
-		lane := bits.TrailingZeros32(rem)
-		a, b := imm0, imm1
-		if lanes0 != nil {
-			a = lanes0[lane]
-		}
-		if lanes1 != nil {
-			b = lanes1[lane]
-		}
-		rec.SrcVals[0][lane] = a
-		rec.SrcVals[1][lane] = b
-		v := fn(a, b, 0)
-		if m.perturb != nil {
-			v = m.perturb(lane, d.Unit, v)
-		}
-		rec.Vals[lane] = v
+	for lane, v := range rec.Vals {
 		if v != 0 {
 			pres |= 1 << uint(lane)
 		}
@@ -220,72 +204,56 @@ func stepSETP(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	return nil
 }
 
-// stepData executes SP/SFU data ops (including SELP): capture sources,
-// compute per lane through the pre-bound function, apply perturbation,
-// write the destination window.
+// stepData executes SP/SFU data ops (including SELP) as one warp
+// operation: gather the sources, run the warp kernel, perturb the
+// executing lanes, write them back to the destination window.
 func stepData(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	r := ws.Regs
 	executing := guardMask(r, d.Pred, rec.Active)
 	rec.Executing = executing
-	var lanes [3][]uint32
-	var imms [3]uint32
-	n := int(d.NSrc)
-	for i := 0; i < n; i++ {
-		lanes[i], imms[i] = d.src[i].view(r)
+	for i := 0; i < int(d.NSrc); i++ {
+		d.src[i].gather(r, &rec.SrcVals[i])
 	}
-	var sel simt.Mask
 	if d.selp {
-		// Fold the selector predicate into src slot 2 so the compute
-		// function stays pure and replayable.
-		sel = r.Pred[d.PSrcA]
+		// Fold the selector predicate into source slot 2 as 0/1 lane
+		// values, so the kernel stays a pure, replayable function.
+		sel := uint32(r.Pred[d.PSrcA])
+		for lane := range rec.SrcVals[2] {
+			rec.SrcVals[2][lane] = sel >> uint(lane) & 1
+		}
 	}
-	var dst []uint32
+	d.kernel(&rec.Vals, &rec.SrcVals[0], &rec.SrcVals[1], &rec.SrcVals[2], executing)
+	m.perturbLanes(d.Unit, executing, &rec.Vals)
 	if d.HasDst {
 		rec.DstValid, rec.Dst = true, d.Dst
-		dst = r.gprLanes(d.Dst)
-	}
-	fn := d.compute
-	for rem := uint32(executing); rem != 0; rem &= rem - 1 {
-		lane := bits.TrailingZeros32(rem)
-		var a, b, c uint32
-		a = imms[0]
-		if lanes[0] != nil {
-			a = lanes[0][lane]
-		}
-		rec.SrcVals[0][lane] = a
-		if n > 1 {
-			b = imms[1]
-			if lanes[1] != nil {
-				b = lanes[1][lane]
+		dst := r.gprLanes(d.Dst)
+		if executing == fullWarp {
+			copy(dst, rec.Vals[:])
+		} else {
+			for rem := uint32(executing); rem != 0; rem &= rem - 1 {
+				lane := bits.TrailingZeros32(rem)
+				dst[lane] = rec.Vals[lane]
 			}
-			rec.SrcVals[1][lane] = b
-		}
-		if n > 2 {
-			c = imms[2]
-			if lanes[2] != nil {
-				c = lanes[2][lane]
-			}
-			rec.SrcVals[2][lane] = c
-		}
-		if d.selp {
-			if sel.Has(lane) {
-				c = 1
-			} else {
-				c = 0
-			}
-			rec.SrcVals[2][lane] = c
-		}
-		v := fn(a, b, c)
-		if m.perturb != nil {
-			v = m.perturb(lane, d.Unit, v)
-		}
-		rec.Vals[lane] = v
-		if dst != nil {
-			dst[lane] = v
 		}
 	}
 	ws.Ctl.Advance()
 	return nil
+}
+
+// fullWarp is the executing mask of a 32-lane warp with no lane masked.
+const fullWarp = ^simt.Mask(0)
+
+// perturbLanes passes each executing lane's value through the fault
+// hook, once per lane in ascending lane order: fault campaigns and the
+// FaultsActivated count depend on that call sequence.
+func (m *Machine) perturbLanes(unit isa.UnitClass, executing simt.Mask, v *[32]uint32) {
+	if m.perturb == nil {
+		return
+	}
+	for rem := uint32(executing); rem != 0; rem &= rem - 1 {
+		lane := bits.TrailingZeros32(rem)
+		v[lane] = m.perturb(lane, unit, v[lane])
+	}
 }
 
 func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
@@ -295,116 +263,154 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) error {
 	rec.IsMem = true
 	rec.IsStore = d.Op == isa.OpST
 
-	lanes0, imm0 := d.src[0].view(r)
-	var lanes1 []uint32
-	var imm1 uint32
+	d.src[0].gather(r, &rec.SrcVals[0])
 	if d.NSrc > 1 {
-		lanes1, imm1 = d.src[1].view(r)
+		d.src[1].gather(r, &rec.SrcVals[1])
 	}
-	off := uint32(d.Off)
-	for rem := uint32(executing); rem != 0; rem &= rem - 1 {
-		lane := bits.TrailingZeros32(rem)
-		a := imm0
-		if lanes0 != nil {
-			a = lanes0[lane]
-		}
-		rec.SrcVals[0][lane] = a
-		if d.NSrc > 1 {
-			b := imm1
-			if lanes1 != nil {
-				b = lanes1[lane]
-			}
-			rec.SrcVals[1][lane] = b
-		}
-		addr := a + off
-		if m.perturb != nil {
-			addr = m.perturb(lane, isa.UnitLDST, addr)
-		}
-		rec.Addrs[lane] = addr
-		rec.Vals[lane] = addr
-	}
+	d.kernel(&rec.Vals, &rec.SrcVals[0], &rec.SrcVals[1], &rec.SrcVals[2], executing)
+	m.perturbLanes(isa.UnitLDST, executing, &rec.Vals)
 
 	switch d.Space {
 	case isa.SpaceShared:
-		rec.BankSer = mem.BankConflictDegree(rec.Addrs[:], uint32(executing), m.banks)
-		rec.Segments = 1
+		rec.BankSer = mem.BankConflictDegree(rec.Vals[:], uint32(executing), m.banks)
 		if m.met != nil && rec.BankSer > 1 {
 			m.met.SharedBankExtra.Add(int64(rec.BankSer - 1))
 		}
-	case isa.SpaceGlobal, isa.SpaceParam, isa.SpaceLocal:
-		rec.Segments = mem.CoalesceSegments(rec.Addrs[:], uint32(executing), m.segBytes)
+	case isa.SpaceGlobal, isa.SpaceLocal:
+		rec.NumSegs = mem.CoalesceSegments(rec.Vals[:], uint32(executing), m.segBytes, &rec.SegBases)
+		rec.BankSer = 1
+	case isa.SpaceParam:
 		rec.BankSer = 1
 	}
 
+	var lane int
+	var err error
 	switch d.Op {
 	case isa.OpLD:
 		rec.DstValid, rec.Dst = true, d.Dst
-		dst := r.gprLanes(d.Dst)
-		for rem := uint32(executing); rem != 0; rem &= rem - 1 {
-			lane := bits.TrailingZeros32(rem)
-			v, err := ws.load32(d.Space, rec.Addrs[lane])
-			if err != nil {
-				return fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
-			}
-			dst[lane] = v
-		}
+		lane, err = ws.loadLanes(d.Space, &rec.Vals, executing, r.gprLanes(d.Dst))
 	case isa.OpST:
-		if ws.Mem.Shadow && d.Space != isa.SpaceShared {
-			break // redundant block: global stores go to its shadow buffer
-		}
-		for rem := uint32(executing); rem != 0; rem &= rem - 1 {
-			lane := bits.TrailingZeros32(rem)
-			if err := ws.store32(d.Space, rec.Addrs[lane], rec.SrcVals[1][lane]); err != nil {
-				return fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
-			}
+		// A redundant block's global stores go to its shadow buffer.
+		if !ws.Mem.Shadow || d.Space == isa.SpaceShared {
+			lane, err = ws.storeLanes(d.Space, &rec.Vals, &rec.SrcVals[1], executing)
 		}
 	case isa.OpATOM:
 		rec.DstValid, rec.Dst = true, d.Dst
-		dst := r.gprLanes(d.Dst)
-		for rem := uint32(executing); rem != 0; rem &= rem - 1 {
-			lane := bits.TrailingZeros32(rem)
-			var old uint32
-			var err error
-			switch {
-			case d.Space == isa.SpaceShared:
-				old, err = ws.Mem.Shared.AtomicAdd32(rec.Addrs[lane], rec.SrcVals[1][lane])
-			case ws.Mem.Shadow:
-				old, err = ws.Mem.Global.Load32(rec.Addrs[lane]) // read-only in shadow mode
-			default:
-				old, err = ws.Mem.Global.AtomicAdd32(rec.Addrs[lane], rec.SrcVals[1][lane])
-			}
-			if err != nil {
-				return fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
-			}
-			dst[lane] = old
-		}
+		lane, err = ws.atomicLanes(d.Space, &rec.Vals, &rec.SrcVals[1], executing, r.gprLanes(d.Dst))
 	default:
 		return fmt.Errorf("exec: pc %d: %s is not a memory op", rec.PC, d.Op)
+	}
+	if err != nil {
+		return fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
 	}
 	ws.Ctl.Advance()
 	return nil
 }
 
-func (ws *WarpState) load32(space isa.MemSpace, addr uint32) (uint32, error) {
+// The lane helpers below apply one memory op to the lanes in executing,
+// in ascending lane order, switching on the memory space once per
+// instruction. Each access keeps its own bounds and alignment check; on
+// the first failing lane they stop and return that lane and its error.
+
+func (ws *WarpState) loadLanes(space isa.MemSpace, addrs *[32]uint32, executing simt.Mask, dst []uint32) (int, error) {
+	rem := uint32(executing)
 	switch space {
 	case isa.SpaceShared:
-		return ws.Mem.Shared.Load32(addr)
+		sh := ws.Mem.Shared
+		for ; rem != 0; rem &= rem - 1 {
+			lane := bits.TrailingZeros32(rem)
+			v, err := sh.Load32(addrs[lane])
+			if err != nil {
+				return lane, err
+			}
+			dst[lane] = v
+		}
 	case isa.SpaceParam:
-		return ws.Mem.Params.Load32(addr)
+		pm := ws.Mem.Params
+		for ; rem != 0; rem &= rem - 1 {
+			lane := bits.TrailingZeros32(rem)
+			v, err := pm.Load32(addrs[lane])
+			if err != nil {
+				return lane, err
+			}
+			dst[lane] = v
+		}
 	case isa.SpaceGlobal, isa.SpaceLocal:
-		return ws.Mem.Global.Load32(addr)
+		g := ws.Mem.Global
+		for ; rem != 0; rem &= rem - 1 {
+			lane := bits.TrailingZeros32(rem)
+			v, err := g.Load32(addrs[lane])
+			if err != nil {
+				return lane, err
+			}
+			dst[lane] = v
+		}
+	default:
+		if rem != 0 {
+			return bits.TrailingZeros32(rem), fmt.Errorf("exec: load from unknown space %d", space)
+		}
 	}
-	return 0, fmt.Errorf("exec: load from unknown space %d", space)
+	return 0, nil
 }
 
-func (ws *WarpState) store32(space isa.MemSpace, addr, v uint32) error {
+func (ws *WarpState) storeLanes(space isa.MemSpace, addrs, vals *[32]uint32, executing simt.Mask) (int, error) {
+	rem := uint32(executing)
 	switch space {
 	case isa.SpaceShared:
-		return ws.Mem.Shared.Store32(addr, v)
-	case isa.SpaceParam:
-		return fmt.Errorf("exec: store to param space")
+		sh := ws.Mem.Shared
+		for ; rem != 0; rem &= rem - 1 {
+			lane := bits.TrailingZeros32(rem)
+			if err := sh.Store32(addrs[lane], vals[lane]); err != nil {
+				return lane, err
+			}
+		}
 	case isa.SpaceGlobal, isa.SpaceLocal:
-		return ws.Mem.Global.Store32(addr, v)
+		g := ws.Mem.Global
+		for ; rem != 0; rem &= rem - 1 {
+			lane := bits.TrailingZeros32(rem)
+			if err := g.Store32(addrs[lane], vals[lane]); err != nil {
+				return lane, err
+			}
+		}
+	case isa.SpaceParam:
+		if rem != 0 {
+			return bits.TrailingZeros32(rem), fmt.Errorf("exec: store to param space")
+		}
+	default:
+		if rem != 0 {
+			return bits.TrailingZeros32(rem), fmt.Errorf("exec: store to unknown space %d", space)
+		}
 	}
-	return fmt.Errorf("exec: store to unknown space %d", space)
+	return 0, nil
+}
+
+// atomicLanes adds vals into memory lane by lane and writes each lane's
+// old value to dst. A shadow block's global atomics only read.
+func (ws *WarpState) atomicLanes(space isa.MemSpace, addrs, vals *[32]uint32, executing simt.Mask, dst []uint32) (int, error) {
+	rem := uint32(executing)
+	switch {
+	case space == isa.SpaceShared:
+		sh := ws.Mem.Shared
+		for ; rem != 0; rem &= rem - 1 {
+			lane := bits.TrailingZeros32(rem)
+			old, err := sh.AtomicAdd32(addrs[lane], vals[lane])
+			if err != nil {
+				return lane, err
+			}
+			dst[lane] = old
+		}
+	case ws.Mem.Shadow:
+		return ws.loadLanes(isa.SpaceGlobal, addrs, executing, dst)
+	default:
+		g := ws.Mem.Global
+		for ; rem != 0; rem &= rem - 1 {
+			lane := bits.TrailingZeros32(rem)
+			old, err := g.AtomicAdd32(addrs[lane], vals[lane])
+			if err != nil {
+				return lane, err
+			}
+			dst[lane] = old
+		}
+	}
+	return 0, nil
 }

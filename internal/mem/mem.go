@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Global is the device global memory: a flat byte-addressable space
@@ -62,19 +63,19 @@ func (g *Global) MustAlloc(n int) uint32 {
 // Load32 reads a 32-bit little-endian word. Out-of-range or misaligned
 // accesses return an error (the simulator raises it as a kernel fault).
 func (g *Global) Load32(addr uint32) (uint32, error) {
-	if err := g.check(addr); err != nil {
-		return 0, err
+	if addr%4 == 0 && int(addr) <= len(g.data)-4 {
+		return binary.LittleEndian.Uint32(g.data[addr:]), nil
 	}
-	return binary.LittleEndian.Uint32(g.data[addr:]), nil
+	return 0, g.fault(addr)
 }
 
 // Store32 writes a 32-bit little-endian word.
 func (g *Global) Store32(addr, val uint32) error {
-	if err := g.check(addr); err != nil {
-		return err
+	if addr%4 == 0 && int(addr) <= len(g.data)-4 {
+		binary.LittleEndian.PutUint32(g.data[addr:], val)
+		return nil
 	}
-	binary.LittleEndian.PutUint32(g.data[addr:], val)
-	return nil
+	return g.fault(addr)
 }
 
 // AtomicAdd32 adds val to the word at addr and returns the old value.
@@ -90,14 +91,14 @@ func (g *Global) AtomicAdd32(addr, val uint32) (uint32, error) {
 	return old, nil
 }
 
-func (g *Global) check(addr uint32) error {
+// fault describes a misaligned or out-of-range access. Load32 and
+// Store32 call it only off their in-range path, which is then one test
+// and no call: a warp access runs that path once per lane.
+func (g *Global) fault(addr uint32) error {
 	if addr%4 != 0 {
 		return fmt.Errorf("mem: misaligned 32-bit access at 0x%x", addr)
 	}
-	if uint64(addr)+4 > uint64(len(g.data)) {
-		return fmt.Errorf("mem: global access out of range at 0x%x (size 0x%x)", addr, len(g.data))
-	}
-	return nil
+	return fmt.Errorf("mem: global access out of range at 0x%x (size 0x%x)", addr, len(g.data))
 }
 
 // --- host-side convenience accessors (cudaMemcpy stand-ins) ---
@@ -159,19 +160,19 @@ func (s *Shared) Size() int { return len(s.data) }
 
 // Load32 reads a 32-bit word from shared memory.
 func (s *Shared) Load32(addr uint32) (uint32, error) {
-	if err := s.check(addr); err != nil {
-		return 0, err
+	if addr%4 == 0 && int(addr) <= len(s.data)-4 {
+		return binary.LittleEndian.Uint32(s.data[addr:]), nil
 	}
-	return binary.LittleEndian.Uint32(s.data[addr:]), nil
+	return 0, s.fault(addr)
 }
 
 // Store32 writes a 32-bit word to shared memory.
 func (s *Shared) Store32(addr, val uint32) error {
-	if err := s.check(addr); err != nil {
-		return err
+	if addr%4 == 0 && int(addr) <= len(s.data)-4 {
+		binary.LittleEndian.PutUint32(s.data[addr:], val)
+		return nil
 	}
-	binary.LittleEndian.PutUint32(s.data[addr:], val)
-	return nil
+	return s.fault(addr)
 }
 
 // AtomicAdd32 adds val at addr, returning the old value.
@@ -183,14 +184,13 @@ func (s *Shared) AtomicAdd32(addr, val uint32) (uint32, error) {
 	return old, s.Store32(addr, old+val)
 }
 
-func (s *Shared) check(addr uint32) error {
+// fault describes a misaligned or out-of-range access (see
+// Global.fault).
+func (s *Shared) fault(addr uint32) error {
 	if addr%4 != 0 {
 		return fmt.Errorf("mem: misaligned shared access at 0x%x", addr)
 	}
-	if uint64(addr)+4 > uint64(len(s.data)) {
-		return fmt.Errorf("mem: shared access out of range at 0x%x (size 0x%x)", addr, len(s.data))
-	}
-	return nil
+	return fmt.Errorf("mem: shared access out of range at 0x%x (size 0x%x)", addr, len(s.data))
 }
 
 // Params is the read-only kernel parameter space.
@@ -217,32 +217,44 @@ func (p *Params) Load32(addr uint32) (uint32, error) {
 	return p.words[i], nil
 }
 
-// CoalesceSegments counts the distinct aligned segments of segBytes
-// touched by the active lanes' 4-byte accesses. This is the number of
-// memory transactions a Fermi-style coalescer issues, and the timing
-// model charges one LD/ST occupancy cycle per segment.
-func CoalesceSegments(addrs []uint32, active uint32, segBytes int) int {
+// CoalesceSegments writes the distinct aligned segments of segBytes
+// touched by the active lanes' 4-byte accesses into bases, as segment
+// base addresses in order of first use by ascending lane, and returns
+// their count. That count is the number of memory transactions a
+// Fermi-style coalescer issues; the timing model charges one LD/ST
+// occupancy cycle per segment and probes the caches once per base.
+func CoalesceSegments(addrs []uint32, active uint32, segBytes int, bases *[32]uint32) int {
 	if segBytes <= 0 {
 		segBytes = 128
 	}
-	// A warp has at most 32 lanes, so a fixed dedup buffer keeps the
-	// per-memory-instruction issue path allocation-free.
-	var segs [32]uint32
+	seg := uint32(segBytes)
+	pow2 := seg&(seg-1) == 0
 	n := 0
-	for lane, a := range addrs {
-		if active&(1<<uint(lane)) == 0 {
+	for rem := active; rem != 0; rem &= rem - 1 {
+		lane := bits.TrailingZeros32(rem)
+		if lane >= len(addrs) {
+			break
+		}
+		var b uint32
+		if pow2 {
+			b = addrs[lane] &^ (seg - 1)
+		} else {
+			b = addrs[lane] / seg * seg
+		}
+		// Neighbouring lanes mostly share a segment: test the newest
+		// base before scanning the rest.
+		if n > 0 && bases[n-1] == b {
 			continue
 		}
-		s := a / uint32(segBytes)
 		dup := false
-		for i := 0; i < n; i++ {
-			if segs[i] == s {
+		for _, x := range bases[:n] {
+			if x == b {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			segs[n] = s
+			bases[n] = b
 			n++
 		}
 	}
@@ -257,22 +269,33 @@ func BankConflictDegree(addrs []uint32, active uint32, numBanks int) int {
 	if numBanks <= 0 {
 		numBanks = 32
 	}
-	// Collect the distinct words touched (same-word accesses broadcast),
-	// counting words per bank as they are discovered. At most 32 lanes
-	// participate, so fixed buffers beat per-instruction map allocations.
+	nb := uint32(numBanks)
+	pow2 := nb&(nb-1) == 0
+	// Equal words share a bank, so a word is compared only with the
+	// distinct words already seen in its own bank: each bank keeps a
+	// chain of them through next (1-based indices into words, 0 ends a
+	// chain). At most 32 lanes participate, so fixed buffers serve.
+	// Beyond 32 banks, chains are kept per bank modulo 32.
 	var words [32]uint32
-	var perBank [32]uint8
-	useCnt := numBanks <= len(perBank)
+	var next, head, perBank [32]uint8
 	n := 0
 	max := 1
-	for lane, a := range addrs {
-		if active&(1<<uint(lane)) == 0 {
-			continue
+	for rem := active; rem != 0; rem &= rem - 1 {
+		lane := bits.TrailingZeros32(rem)
+		if lane >= len(addrs) {
+			break
 		}
-		w := a / 4
+		w := addrs[lane] / 4
+		var b uint32
+		if pow2 {
+			b = w & (nb - 1)
+		} else {
+			b = w % nb
+		}
+		slot := b % 32
 		dup := false
-		for i := 0; i < n; i++ {
-			if words[i] == w {
+		for i := head[slot]; i != 0; i = next[i-1] {
+			if words[i-1] == w {
 				dup = true
 				break
 			}
@@ -281,25 +304,26 @@ func BankConflictDegree(addrs []uint32, active uint32, numBanks int) int {
 			continue
 		}
 		words[n] = w
+		next[n] = head[slot]
 		n++
-		if useCnt {
-			b := w % uint32(numBanks)
-			perBank[b]++
-			if c := int(perBank[b]); c > max {
-				max = c
-			}
+		head[slot] = uint8(n)
+		perBank[slot]++
+		if c := int(perBank[slot]); c > max {
+			max = c
 		}
 	}
-	if useCnt {
+	if numBanks <= len(perBank) {
 		return max
 	}
-	// Oversized bank counts (beyond any real shared memory): fall back
-	// to a pairwise scan over the distinct words.
+	// Oversized bank counts (beyond any real shared memory) fold several
+	// banks into one chain: count each bank pairwise over the distinct
+	// words instead.
+	max = 1
 	for i := 0; i < n; i++ {
-		b := words[i] % uint32(numBanks)
+		b := words[i] % nb
 		counted := false
 		for j := 0; j < i; j++ {
-			if words[j]%uint32(numBanks) == b {
+			if words[j]%nb == b {
 				counted = true
 				break
 			}
@@ -309,7 +333,7 @@ func BankConflictDegree(addrs []uint32, active uint32, numBanks int) int {
 		}
 		c := 1
 		for j := i + 1; j < n; j++ {
-			if words[j]%uint32(numBanks) == b {
+			if words[j]%nb == b {
 				c++
 			}
 		}

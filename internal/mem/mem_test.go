@@ -149,28 +149,28 @@ func TestCoalesceSegments(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		addrs = append(addrs, uint32(4*i))
 	}
-	if n := CoalesceSegments(addrs, all, 128); n != 1 {
+	if n := CoalesceSegments(addrs, all, 128, new([32]uint32)); n != 1 {
 		t.Errorf("unit-stride = %d segments, want 1", n)
 	}
 	// Stride 128: every lane its own segment.
 	for i := range addrs {
 		addrs[i] = uint32(128 * i)
 	}
-	if n := CoalesceSegments(addrs, all, 128); n != 32 {
+	if n := CoalesceSegments(addrs, all, 128, new([32]uint32)); n != 32 {
 		t.Errorf("stride-128 = %d segments, want 32", n)
 	}
 	// Only active lanes count.
-	if n := CoalesceSegments(addrs, 0x1, 128); n != 1 {
+	if n := CoalesceSegments(addrs, 0x1, 128, new([32]uint32)); n != 1 {
 		t.Errorf("single lane = %d segments, want 1", n)
 	}
-	if n := CoalesceSegments(addrs, 0, 128); n != 0 {
+	if n := CoalesceSegments(addrs, 0, 128, new([32]uint32)); n != 0 {
 		t.Errorf("no lanes = %d segments, want 0", n)
 	}
 	// Broadcast: everyone loads the same word.
 	for i := range addrs {
 		addrs[i] = 256
 	}
-	if n := CoalesceSegments(addrs, all, 128); n != 1 {
+	if n := CoalesceSegments(addrs, all, 128, new([32]uint32)); n != 1 {
 		t.Errorf("broadcast = %d segments, want 1", n)
 	}
 }
@@ -228,7 +228,7 @@ func TestAccessCostBoundsQuick(t *testing.T) {
 				active++
 			}
 		}
-		segs := CoalesceSegments(addrs, mask, 128)
+		segs := CoalesceSegments(addrs, mask, 128, new([32]uint32))
 		deg := BankConflictDegree(addrs, mask, 32)
 		if segs < 0 || segs > active {
 			return false
@@ -241,5 +241,167 @@ func TestAccessCostBoundsQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// pairwiseBankDegree is the quadratic reference BankConflictDegree
+// replaced: dedup the active words by scanning all earlier ones, then
+// count each bank's distinct words pairwise.
+func pairwiseBankDegree(addrs []uint32, active uint32, numBanks int) int {
+	if numBanks <= 0 {
+		numBanks = 32
+	}
+	var words []uint32
+	for lane, a := range addrs {
+		if active&(1<<uint(lane)) == 0 {
+			continue
+		}
+		dup := false
+		for _, w := range words {
+			if w == a/4 {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			words = append(words, a/4)
+		}
+	}
+	max := 1
+	for i := range words {
+		c := 0
+		for j := range words {
+			if words[j]%uint32(numBanks) == words[i]%uint32(numBanks) {
+				c++
+			}
+		}
+		if c > max {
+			max = c
+		}
+	}
+	return max
+}
+
+// TestBankConflictDegreeOracle checks the per-bank chained count
+// against the pairwise reference: random address vectors, broadcast
+// (every lane on one word), and one bank hit through distinct words,
+// under random masks, for power-of-two, odd and oversized bank counts.
+func TestBankConflictDegreeOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, banks := range []int{1, 2, 3, 16, 32, 33, 48, 64, 1000, 0} {
+		gens := map[string]func(lane int) uint32{
+			"random":       func(int) uint32 { return uint32(rng.Intn(1 << 12)) },
+			"random-wide":  func(int) uint32 { return rng.Uint32() },
+			"few-words":    func(int) uint32 { return uint32(4 * rng.Intn(6)) },
+			"broadcast":    func(int) uint32 { return 4 * 77 },
+			"one-bank":     func(lane int) uint32 { return uint32(4 * max(banks, 1) * lane) },
+			"one-bank-dup": func(lane int) uint32 { return uint32(4 * max(banks, 1) * (lane % 5)) },
+		}
+		for name, gen := range gens {
+			for trial := 0; trial < 50; trial++ {
+				addrs := make([]uint32, 32)
+				for lane := range addrs {
+					addrs[lane] = gen(lane)
+				}
+				mask := rng.Uint32()
+				if trial == 0 {
+					mask = 0xFFFFFFFF
+				}
+				got := BankConflictDegree(addrs, mask, banks)
+				if want := pairwiseBankDegree(addrs, mask, banks); got != want {
+					t.Fatalf("banks %d %s mask %08x: degree %d, pairwise %d (addrs %v)", banks, name, mask, got, want, addrs)
+				}
+			}
+		}
+	}
+}
+
+// TestCoalesceSegmentsBases checks the recorded segment bases: distinct
+// aligned bases in order of first use by ascending active lane, for a
+// power-of-two and a non-power-of-two segment size.
+func TestCoalesceSegmentsBases(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, seg := range []int{128, 96, 32} {
+		for trial := 0; trial < 200; trial++ {
+			addrs := make([]uint32, 32)
+			for lane := range addrs {
+				addrs[lane] = uint32(4 * rng.Intn(256))
+			}
+			mask := rng.Uint32()
+			var want []uint32
+			for lane, a := range addrs {
+				if mask&(1<<uint(lane)) == 0 {
+					continue
+				}
+				b := a / uint32(seg) * uint32(seg)
+				dup := false
+				for _, x := range want {
+					dup = dup || x == b
+				}
+				if !dup {
+					want = append(want, b)
+				}
+			}
+			var bases [32]uint32
+			n := CoalesceSegments(addrs, mask, seg, &bases)
+			if n != len(want) {
+				t.Fatalf("seg %d mask %08x: %d segments, want %d", seg, mask, n, len(want))
+			}
+			for i := range want {
+				if bases[i] != want[i] {
+					t.Fatalf("seg %d mask %08x: bases %v, want %v", seg, mask, bases[:n], want)
+				}
+			}
+		}
+	}
+}
+
+// laneAddrs returns 32 lane addresses base + stride*lane.
+func laneAddrs(base, stride uint32) []uint32 {
+	addrs := make([]uint32, 32)
+	for lane := range addrs {
+		addrs[lane] = base + stride*uint32(lane)
+	}
+	return addrs
+}
+
+var benchSink int
+
+func BenchmarkBankConflictDegree(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		addrs []uint32
+	}{
+		{"conflict-free", laneAddrs(0, 4)},
+		{"2way", laneAddrs(0, 8)},
+		{"broadcast", laneAddrs(64, 0)},
+		{"32way", laneAddrs(0, 128)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = BankConflictDegree(c.addrs, 0xFFFFFFFF, 32)
+			}
+		})
+	}
+}
+
+func BenchmarkCoalesceSegments(b *testing.B) {
+	var bases [32]uint32
+	for _, c := range []struct {
+		name  string
+		addrs []uint32
+	}{
+		{"unit-stride", laneAddrs(256, 4)},
+		{"stride-2", laneAddrs(256, 8)},
+		{"scattered", laneAddrs(256, 128)},
+		{"broadcast", laneAddrs(256, 0)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = CoalesceSegments(c.addrs, 0xFFFFFFFF, 128, &bases)
+			}
+		})
 	}
 }

@@ -88,11 +88,10 @@ type sm struct {
 	l1        *cache.Cache // per-SM L1 data cache (nil when off)
 	err       error
 
-	laneFor  [32]uint8  // thread slot -> physical lane (pre-resolved mapping)
-	segBuf   [32]uint32 // scratch for segBases
-	issueNow int64      // cycle of the in-flight Machine.Step (fault hook)
-	issuePC  int        // PC of the in-flight Machine.Step (PC-targeted faults)
-	kName    string     // kernel name, for PCFaultHook targeting
+	laneFor  [32]uint8 // thread slot -> physical lane (pre-resolved mapping)
+	issueNow int64     // cycle of the in-flight Machine.Step (fault hook)
+	issuePC  int       // PC of the in-flight Machine.Step (PC-targeted faults)
+	kName    string    // kernel name, for PCFaultHook targeting
 
 	met *metrics.Sim // never nil; shared across the launch's SMs
 }
@@ -345,31 +344,6 @@ func (s *sm) latency(rec *exec.Record) int64 {
 	}
 }
 
-// segBases returns the distinct coalesced segment base addresses of a
-// memory record's active lanes, in an SM-owned scratch buffer valid
-// until the next call.
-func (s *sm) segBases(rec *exec.Record) []uint32 {
-	segBytes := uint32(s.cfg.CoalesceBytes)
-	bases := s.segBuf[:0]
-	for lane := 0; lane < 32; lane++ {
-		if !rec.Executing.Has(lane) {
-			continue
-		}
-		b := rec.Addrs[lane] / segBytes * segBytes
-		dup := false
-		for _, x := range bases {
-			if x == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			bases = append(bases, b)
-		}
-	}
-	return bases
-}
-
 // memCosts computes the writeback latency and LD/ST occupancy of a
 // memory record, probing the L1/L2 hierarchy and charging DRAM
 // bandwidth for the segments that reach memory.
@@ -381,7 +355,7 @@ func (s *sm) memCosts(rec *exec.Record) (lat, occ int64) {
 		// Fall out to the cache/DRAM path below.
 	}
 
-	bases := s.segBases(rec)
+	bases := rec.SegBases[:rec.NumSegs]
 	occ = int64(len(bases))
 	if occ < 1 {
 		occ = 1
